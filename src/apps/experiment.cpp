@@ -44,9 +44,7 @@ std::unique_ptr<tgen::Generator> make_trace_generator(const WorkloadConfig& w, T
 
 template <typename Sim>
 BasicTestbed<Sim>::BasicTestbed(const ExperimentConfig& cfg) : cfg_(cfg) {
-  if constexpr (std::is_same_v<Sim, sim::LadderSimulation>) {
-    sim_ = std::make_unique<Sim>(cfg.seed, sim::LadderQueueBackend(cfg.ladder));
-  } else if constexpr (std::is_same_v<Sim, sim::WheelSimulation>) {
+  if constexpr (std::is_same_v<Sim, sim::WheelSimulation>) {
     sim_ = std::make_unique<Sim>(cfg.seed, sim::TimingWheelBackend(cfg.wheel));
   } else {
     sim_ = std::make_unique<Sim>(cfg.seed);
@@ -366,10 +364,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 }
 
 template class BasicTestbed<sim::Simulation>;
-template class BasicTestbed<sim::LadderSimulation>;
 template class BasicTestbed<sim::WheelSimulation>;
 template ExperimentResult run_experiment<sim::Simulation>(const ExperimentConfig&);
-template ExperimentResult run_experiment<sim::LadderSimulation>(const ExperimentConfig&);
 template ExperimentResult run_experiment<sim::WheelSimulation>(const ExperimentConfig&);
 
 }  // namespace metro::apps

@@ -23,7 +23,7 @@ struct Parsed {
 };
 
 Parsed parse(std::vector<std::string> flags,
-             BackendChoice def_backend = BackendChoice::kBoth, int def_jobs = 2) {
+             BackendChoice def_backend = BackendChoice::kAll, int def_jobs = 2) {
   std::vector<char*> argv;
   std::string argv0 = "bench_test";
   argv.push_back(argv0.data());
@@ -47,12 +47,12 @@ TEST(BenchArgsTest, NoFlagsKeepsDefaults) {
 }
 
 TEST(BenchArgsTest, AllFlagsParse) {
-  const auto p = parse({"--fast", "--backend=ladder", "--jobs=8", "--trace=cap.pcap",
+  const auto p = parse({"--fast", "--backend=wheel", "--jobs=8", "--trace=cap.pcap",
                         "--only=cbr_lossy,imix_corrupt", "--deadline=30", "--list"});
   ASSERT_TRUE(p.ok) << p.error;
   EXPECT_TRUE(p.args.fast);
   EXPECT_TRUE(p.args.list);
-  EXPECT_EQ(p.args.backend, BackendChoice::kLadder);
+  EXPECT_EQ(p.args.backend, BackendChoice::kWheel);
   EXPECT_EQ(p.args.jobs, 8);
   EXPECT_EQ(p.args.trace, "cap.pcap");
   ASSERT_EQ(p.args.only.size(), 2u);
@@ -63,9 +63,9 @@ TEST(BenchArgsTest, AllFlagsParse) {
 
 TEST(BenchArgsTest, UnknownFlagRejectedWithTheOffendingSpelling) {
   // The motivating typo: --backed must not silently run both backends.
-  const auto p = parse({"--backed=ladder"});
+  const auto p = parse({"--backed=wheel"});
   ASSERT_FALSE(p.ok);
-  EXPECT_NE(p.error.find("--backed=ladder"), std::string::npos) << p.error;
+  EXPECT_NE(p.error.find("--backed=wheel"), std::string::npos) << p.error;
   ASSERT_FALSE(parse({"--fats"}).ok);
   ASSERT_FALSE(parse({"extra_positional"}).ok);
   ASSERT_FALSE(parse({"--fast", "--nonsense"}).ok) << "later flags are checked too";
@@ -73,9 +73,7 @@ TEST(BenchArgsTest, UnknownFlagRejectedWithTheOffendingSpelling) {
 
 TEST(BenchArgsTest, BackendValueValidated) {
   EXPECT_EQ(parse({"--backend=heap"}).args.backend, BackendChoice::kHeap);
-  EXPECT_EQ(parse({"--backend=ladder"}).args.backend, BackendChoice::kLadder);
   EXPECT_EQ(parse({"--backend=wheel"}).args.backend, BackendChoice::kWheel);
-  EXPECT_EQ(parse({"--backend=both"}).args.backend, BackendChoice::kBoth);
   EXPECT_EQ(parse({"--backend=all"}).args.backend, BackendChoice::kAll);
   const auto p = parse({"--backend=lader"});
   ASSERT_FALSE(p.ok);
@@ -86,15 +84,27 @@ TEST(BenchArgsTest, BackendValueValidated) {
   EXPECT_NE(q.error.find("wheel"), std::string::npos) << "error lists the valid spellings";
 }
 
+TEST(BenchArgsTest, RetiredBackendValuesRejected) {
+  // Only heap|wheel|all exist: the retired "ladder" and "both" spellings
+  // must fail at launch, not silently run some other backend set.
+  for (const char* flag : {"--backend=ladder", "--backend=both"}) {
+    const auto p = parse({flag});
+    ASSERT_FALSE(p.ok) << flag;
+    EXPECT_NE(p.error.find(std::string(flag).substr(10)), std::string::npos) << p.error;
+    EXPECT_NE(p.error.find("heap|wheel|all"), std::string::npos)
+        << "error lists the valid spellings: " << p.error;
+  }
+  EXPECT_NE(std::string(usage_text()).find("--backend=heap|wheel|all"), std::string::npos);
+}
+
 TEST(BenchArgsTest, BackendSelectionsMapToKinds) {
   using scenario::BackendKind;
+  EXPECT_EQ(backend_kinds(BackendChoice::kHeap),
+            (std::vector<BackendKind>{BackendKind::kHeap}));
   EXPECT_EQ(backend_kinds(BackendChoice::kWheel),
             (std::vector<BackendKind>{BackendKind::kWheel}));
-  EXPECT_EQ(backend_kinds(BackendChoice::kBoth),
-            (std::vector<BackendKind>{BackendKind::kHeap, BackendKind::kLadder}));
   EXPECT_EQ(backend_kinds(BackendChoice::kAll),
-            (std::vector<BackendKind>{BackendKind::kHeap, BackendKind::kLadder,
-                                      BackendKind::kWheel}));
+            (std::vector<BackendKind>{BackendKind::kHeap, BackendKind::kWheel}));
 }
 
 TEST(BenchArgsTest, JobsMustBeAWholeNumberInRange) {
