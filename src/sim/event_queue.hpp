@@ -294,8 +294,7 @@ struct WheelConfig {
   static constexpr WheelConfig for_population(std::size_t pending) noexcept {
     if (pending < (std::size_t{1} << 21)) return WheelConfig{};     // <= ~1M: 8/10/5
     if (pending < (std::size_t{1} << 23)) return WheelConfig{8, 16, 5};   // ~4M
-    return WheelConfig{12, 16, 3};  // >= ~8M: the win flattens at the
-                                    // memory-bandwidth wall; widest horizon
+    return WheelConfig{12, 16, 3};  // >= ~8M: widest horizon
   }
 };
 
@@ -313,12 +312,18 @@ struct WheelConfig {
 ///
 /// An insert hashes the timestamp into the lowest level whose window still
 /// covers it — O(1), no comparisons. Consumption advances a per-level
-/// cursor of *absolute* slot indices: the next non-empty level-0 slot
-/// (found through per-level occupancy bitmaps) is sorted into bottom;
-/// when level 0 is exhausted up to a level-1 slot boundary, that level-1
-/// slot *cascades* — its entries are redistributed one level down — and so
-/// on up the hierarchy. Each event is therefore touched at most once per
-/// level plus one bounded sort, independent of how many are pending.
+/// cursor of *absolute* slot indices. The wheel caches one bound: the
+/// level-0 index where the earliest non-empty slot on levels >= 1 starts
+/// (lowered by every coarse insert, recomputed after each cascade). The
+/// next refill scans only level 0's occupancy bitmap below that bound and
+/// sorts the first non-empty slot into bottom. Only when that scan finds
+/// nothing does a top-down pass over the coarse bitmaps run: it picks
+/// the earliest coarse slot, which *cascades* — its entries are
+/// redistributed one level down — or, with every coarse level empty, the
+/// overflow pool opens a new epoch. Each event is therefore touched at
+/// most once per level plus one bounded sort, independent of how many are
+/// pending, and the coarse bitmaps are scanned only when a coarse slot is
+/// due.
 ///
 /// The overflow pool opens a new *epoch* when the wheels drain: cursors
 /// re-base at the overflow minimum and the pool is repartitioned.
@@ -429,6 +434,7 @@ class TimingWheelBackend {
     std::fill(bits_.begin(), bits_.end(), 0);
     std::fill(cur_.begin(), cur_.end(), std::int64_t{0});
     floor_ = 0;
+    coarse_min0_ = INT64_MAX;
     overflow_.clear();
     overflow_floor_ = sat_shl(slots_per_level_, shift(cfg_.levels - 1));
     live_ = 0;
@@ -492,6 +498,7 @@ class TimingWheelBackend {
       if (static_cast<std::uint64_t>(s - cur_[k]) < slots_per_level_) {
         slot_ref(k, s).push_back(e);
         set_bit(k, s);
+        if (k > 0) coarse_min0_ = std::min(coarse_min0_, s << (k * cfg_.slot_bits));
         return true;
       }
     }
@@ -567,74 +574,88 @@ class TimingWheelBackend {
   template <typename Ctx>
   void refill_bottom(Ctx ctx) {
     for (;;) {
-      // Top-down pass: level k searches [cur_[k], cap). The cap is the
-      // first non-empty slot of the level above scaled down — content
-      // under an *empty* parent slot needs no cascade, so the scan may
-      // run past the parent cursor — and is additionally clamped to one
-      // revolution: stored entries always sit within `slots_per_level_`
-      // of their cursor, so clamped ranges are alias-free in the
-      // physical slot array. The lowest level that finds a slot wins.
-      std::int64_t limit = cur_[cfg_.levels - 1] + slots_per_level_;
-      std::uint32_t clevel = 0;
-      std::int64_t cslot = -1;
-      for (std::uint32_t k = cfg_.levels; k-- > 1;) {
-        const std::int64_t cap =
-            std::min<std::int64_t>(limit, cur_[k] + slots_per_level_);
-        const std::int64_t s = find_slot(k, cur_[k], cap);
-        if (s >= 0) {
-          clevel = k;
-          cslot = s;
-          limit = s;
-        }
-        limit = sat_shl(limit, cfg_.slot_bits);
-      }
+      // Level 0 alone decides whether a slot fires before every coarse
+      // slot: it searches [cur_[0], coarse_min0_) — exclusive, so a coarse
+      // slot starting at the same level-0 slot cascades first — clamped to
+      // one revolution (stored entries always sit within
+      // `slots_per_level_` of their cursor, so the range is alias-free in
+      // the physical slot array).
       const std::int64_t cap0 =
-          std::min<std::int64_t>(limit, cur_[0] + slots_per_level_);
+          std::min<std::int64_t>(coarse_min0_, cur_[0] + slots_per_level_);
       const std::int64_t s0 = find_slot(0, cur_[0], cap0);
       if (s0 >= 0) {
-        // s0 fires before every coarse slot found above: consume it.
         auto& slot = slot_ref(0, s0);
         sort_into_bottom(slot, ctx);
         slot.clear();  // recycle capacity
         clear_bit(0, s0);
         floor_ = sat_shl(s0 + 1, cfg_.tick_shift);
         // Pull every cursor up to the new floor so push windows track
-        // time; slots strictly below the floor are empty at every level.
+        // time; slots strictly below the floor are empty at every level,
+        // so coarse_min0_ still holds.
         for (std::uint32_t k = 0; k < cfg_.levels; ++k) {
           cur_[k] = std::max(cur_[k], slot_of(floor_, k));
         }
         return;  // bottom may still be empty (all-tombstone slot): caller loops
       }
-      if (cslot >= 0) {
-        // No level-0 slot fires before the lowest found coarse slot:
-        // cascade it one level down and rescan. Lower cursors jump to
-        // the slot's left edge (never backward) — the skipped range was
-        // just verified empty at every level below.
-        for (std::uint32_t j = 0; j < clevel; ++j) {
-          cur_[j] = std::max(cur_[j], sat_shl(cslot, (clevel - j) * cfg_.slot_bits));
-        }
-        floor_ = std::max(floor_, sat_shl(cur_[0], cfg_.tick_shift));
-        auto& slot = slot_ref(clevel, cslot);
-        if (tracer_ != nullptr) [[unlikely]] {
-          tracer_->instant(trace::id::kWheelCascade, sat_shl(cslot, shift(clevel)),
-                           slot.size(), 0, clevel);
-        }
-        for (const EventEntry& e : slot) {
-          if (ctx.dead(e)) continue;
-          const std::int64_t down = slot_of(e.at, clevel - 1);
-          assert(static_cast<std::uint64_t>(down - cur_[clevel - 1]) < slots_per_level_);
-          slot_ref(clevel - 1, down).push_back(e);
-          set_bit(clevel - 1, down);
-        }
-        slot.clear();  // recycle capacity
-        clear_bit(clevel, cslot);
-        cur_[clevel] = cslot + 1;
+      if (coarse_min0_ == INT64_MAX) {
+        // Wheels fully drained: open the next epoch from overflow.
+        assert(!overflow_.empty() && "live_ > 0 but no entries stored");
+        rebase_from_overflow(ctx);
         continue;
       }
-      // Wheels fully drained: open the next epoch from overflow.
-      assert(!overflow_.empty() && "live_ > 0 but no entries stored");
-      rebase_from_overflow(ctx);
+      // No level-0 slot fires before the earliest coarse slot: cascade it
+      // one level down and rescan. Lower cursors jump to the slot's left
+      // edge (never backward) — the skipped range was just verified empty
+      // at every level below.
+      std::uint32_t clevel = 0;
+      std::int64_t cslot = -1;
+      earliest_coarse(clevel, cslot);
+      for (std::uint32_t j = 0; j < clevel; ++j) {
+        cur_[j] = std::max(cur_[j], sat_shl(cslot, (clevel - j) * cfg_.slot_bits));
+      }
+      floor_ = std::max(floor_, sat_shl(cur_[0], cfg_.tick_shift));
+      auto& slot = slot_ref(clevel, cslot);
+      if (tracer_ != nullptr) [[unlikely]] {
+        tracer_->instant(trace::id::kWheelCascade, sat_shl(cslot, shift(clevel)),
+                         slot.size(), 0, clevel);
+      }
+      for (const EventEntry& e : slot) {
+        if (ctx.dead(e)) continue;
+        const std::int64_t down = slot_of(e.at, clevel - 1);
+        assert(static_cast<std::uint64_t>(down - cur_[clevel - 1]) < slots_per_level_);
+        slot_ref(clevel - 1, down).push_back(e);
+        set_bit(clevel - 1, down);
+      }
+      slot.clear();  // recycle capacity
+      clear_bit(clevel, cslot);
+      cur_[clevel] = cslot + 1;
+      coarse_min0_ = earliest_coarse(clevel, cslot);
     }
+  }
+
+  /// Top-down pass over levels >= 1 for the earliest non-empty coarse
+  /// slot: level k searches [cur_[k], cap), the cap being the slot found
+  /// one level up scaled down — content under an *empty* parent slot
+  /// needs no cascade, so the scan may run past the parent cursor —
+  /// clamped to one revolution. Reports that
+  /// slot and returns the level-0 index of its left edge, or INT64_MAX
+  /// when every coarse level is empty. At equal edges the higher level
+  /// wins, so its entries cascade before the lower slot is consumed.
+  std::int64_t earliest_coarse(std::uint32_t& level, std::int64_t& slot) const noexcept {
+    level = 0;
+    slot = -1;
+    std::int64_t limit = cur_[cfg_.levels - 1] + slots_per_level_;
+    for (std::uint32_t k = cfg_.levels; k-- > 1;) {
+      const std::int64_t cap = std::min<std::int64_t>(limit, cur_[k] + slots_per_level_);
+      const std::int64_t s = find_slot(k, cur_[k], cap);
+      if (s >= 0) {
+        level = k;
+        slot = s;
+        limit = s;
+      }
+      limit = sat_shl(limit, cfg_.slot_bits);
+    }
+    return slot < 0 ? INT64_MAX : slot << (level * cfg_.slot_bits);
   }
 
   /// Move one consumed level-0 slot into bottom, sorted by the total
@@ -666,6 +687,7 @@ class TimingWheelBackend {
     }
     for (std::uint32_t k = 0; k < cfg_.levels; ++k) cur_[k] = slot_of(lo, k);
     floor_ = sat_shl(cur_[0], cfg_.tick_shift);
+    coarse_min0_ = INT64_MAX;  // the wheels are empty; try_place lowers it
     overflow_floor_ = sat_shl(cur_[cfg_.levels - 1] + slots_per_level_,
                               shift(cfg_.levels - 1));
     scratch_.swap(overflow_);
@@ -689,6 +711,9 @@ class TimingWheelBackend {
   std::vector<std::uint64_t> bits_;             // per-level occupancy bitmaps
   std::vector<std::int64_t> cur_;  // per-level absolute slot cursors
   Time floor_ = 0;                 // bottom/wheel split: below it -> bottom
+  // Level-0 index of the earliest non-empty slot's left edge on levels
+  // >= 1 (tombstones included), INT64_MAX when there is none.
+  std::int64_t coarse_min0_ = INT64_MAX;
   std::vector<EventEntry> bottom_;  // sorted; consumed from bottom_head_
   std::size_t bottom_head_ = 0;
   std::vector<EventEntry> overflow_;  // unsorted beyond-horizon pool

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -388,6 +389,120 @@ TEST(TimingWheelTest, RandomisedCancelMirrorAgainstHeap) {
     };
     expect_heap_agrees(script);
   }
+}
+
+TEST(TimingWheelTest, SmallPopulationRearmMirrorAgainstHeap) {
+  // The low-load operating point in miniature: at most four pending
+  // self-re-arming timers (Metronome's sleep/wake), each of which also
+  // cancels and re-arms one pending completion timer per step, the way
+  // sim::Core::reschedule_completion does. With so few entries the
+  // cached coarse bound decides almost every refill, so the delays are
+  // picked to land, under both geometries expect_heap_agrees runs, in
+  // level 0, in a level-1 slot straddling the end of the level-0 window
+  // (the bound, not the one-revolution clamp, then caps the level-0
+  // scan) and beyond the top horizon (overflow epochs).
+  for (std::uint64_t seed : {3u, 77u, 2024u}) {
+    expect_heap_agrees([seed](auto& sim, std::vector<Firing>& trace) {
+      using SimT = std::remove_reference_t<decltype(sim)>;
+      struct Rearm {
+        SimT* s;
+        std::vector<Firing>* tr;
+        typename SimT::EventId completion;
+        std::uint64_t state;
+        int left;
+        int tag;
+        void operator()() const {
+          // Tiny geometry: 64 ns level-0 window, 1024 ns horizon. Default
+          // geometry: ~262 us level-0 window, 2^50 ns horizon.
+          static constexpr Time kDelays[] = {
+              1,       9,       40,       // level 0 on both
+              66,      90,      300,      // tiny: straddling level-1 slot, level 2
+              5'000,   200'000,           // tiny: overflow; default: level 0
+              262'500, 300'000,           // default: straddling level-1 slot
+              Time{1} << 50,              // default: overflow
+          };
+          constexpr std::uint64_t kN = std::size(kDelays);
+          tr->emplace_back(s->now(), tag);
+          if (left <= 0) return;
+          std::uint64_t x = state;
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+          // Cancel-and-re-arm; the old completion may already have fired,
+          // which makes the cancel a stale no-op.
+          s->cancel(completion);
+          const int ctag = -tag;
+          const auto next = s->schedule_after(kDelays[(x >> 8) % kN] + (x >> 40) % 7,
+                                              [s = s, tr = tr, ctag] {
+                                                tr->emplace_back(s->now(), ctag);
+                                              });
+          s->schedule_after(kDelays[x % kN] + (x >> 32) % 5,
+                            Rearm{s, tr, next, x, left - 1, tag + 1});
+        }
+      };
+      for (int i = 0; i < 4; ++i) {
+        const auto rearm_seed = util::mix_seed(seed, static_cast<std::uint64_t>(i));
+        sim.schedule_at(i, Rearm{&sim, &trace, SimT::kInvalidEvent, rearm_seed, 150,
+                                 (i + 1) * 1000});
+      }
+    });
+  }
+}
+
+TEST(TimingWheelTest, CoarseSlotAtOrBeforeLevelZeroEntryCascadesFirst) {
+  // Tiny geometry: 16 ns level-0 slots, 4 per level, so level-1 slot 1
+  // spans level-0 slots 4..7 (64..127 ns). After the handler at 20 ns
+  // fires, the level-0 window covers slots 2..5. run_tiny runs a script
+  // on the tiny wheel; a probe at 21 ns, right after the handler,
+  // records the level-0 and level-1 occupancy it left behind.
+  const auto run_tiny = [](auto script, std::uint32_t& occ0, std::uint32_t& occ1) {
+    BasicSimulation<TimingWheelBackend> sim(1, TimingWheelBackend(tiny_geometry()));
+    std::vector<Firing> trace;
+    script(sim, trace);
+    sim.schedule_at(21, [&sim, &occ0, &occ1] {
+      occ0 = sim.backend().occupancy(0);
+      occ1 = sim.backend().occupancy(1);
+    });
+    sim.run();
+    EXPECT_TRUE(sim.idle());
+    return trace;
+  };
+  std::uint32_t occ0 = 0;
+  std::uint32_t occ1 = 0;
+
+  // A handler inserts a coarse entry (100 ns: level-0 slot 6, level-1
+  // slot 1, whose left edge is level-0 slot 4) beside a level-0 entry
+  // in slot 5. The insert must lower the cached bound: the coarse slot
+  // cascades before slot 5 is consumed.
+  const auto coarse_after = [](auto& sim, std::vector<Firing>& trace) {
+    sim.schedule_at(20, [&sim, &trace] {
+      trace.emplace_back(sim.now(), 0);
+      tag_at(sim, trace, 80, 1);
+      tag_at(sim, trace, 100, 2);
+    });
+  };
+  EXPECT_EQ(run_tiny(coarse_after, occ0, occ1),
+            (std::vector<Firing>{{20, 0}, {80, 1}, {100, 2}}));
+  EXPECT_EQ(occ0, 1u) << "the 80 ns entry must sit in level 0";
+  EXPECT_EQ(occ1, 1u) << "the 100 ns entry must sit coarse";
+  expect_heap_agrees(coarse_after);
+
+  // The tie: an entry parked in level-1 slot 1 at setup (70 ns, level-0
+  // slot 4), then a handler inserts a later-sequenced entry at the same
+  // instant straight into level-0 slot 4. The coarse slot's edge equals
+  // that level-0 slot, so it must cascade first, or the later insert
+  // would fire ahead of the earlier one.
+  const auto tie = [](auto& sim, std::vector<Firing>& trace) {
+    sim.schedule_at(20, [&sim, &trace] {
+      trace.emplace_back(sim.now(), 0);
+      tag_at(sim, trace, 70, 2);
+    });
+    tag_at(sim, trace, 70, 1);
+  };
+  EXPECT_EQ(run_tiny(tie, occ0, occ1), (std::vector<Firing>{{20, 0}, {70, 1}, {70, 2}}));
+  EXPECT_EQ(occ0, 1u) << "the handler's 70 ns entry must sit in level 0";
+  EXPECT_EQ(occ1, 1u) << "the setup's 70 ns entry must sit coarse";
+  expect_heap_agrees(tie);
 }
 
 }  // namespace
