@@ -44,7 +44,7 @@
 //     full-stack speedups.
 //   * fig13_fullstack_1m/4m/16m — the registered scale rungs (2^20,
 //     2^22 and 2^24 per-flow sources: the wheel's home regime, the
-//     beyond-LLC regime, and the memory-bandwidth wall), repeated over
+//     beyond-LLC regime, and the largest population), repeated over
 //     several trials per backend; the JSON records median/IQR wall time
 //     and packet rate, the wheel's speedup over the heap, and the
 //     for_population-selected geometry's win over the fixed 8/10/5
@@ -576,7 +576,7 @@ int main(int argc, char** argv) {
 
   // Full-stack scale rungs: fig13_fullstack_1m/4m/16m (2^20 / 2^22 /
   // 2^24 per-flow sources) — the wheel's home regime, then the beyond-LLC
-  // regime and the memory-bandwidth wall. Wall time is noisy at these run
+  // regime and the largest population. Wall time is noisy at these run
   // lengths, so every enabled backend is repeated over several trials
   // (serially: wall is the metric) and the JSON records median/IQR. On
   // top of the cross-backend identity check, the wheel runs twice per

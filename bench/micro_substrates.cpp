@@ -57,14 +57,36 @@ void BM_CuckooFind(benchmark::State& state) {
 }
 BENCHMARK(BM_CuckooFind);
 
+// The production table hash and the bit-serial reference over the same
+// stream of IPv4 + ports tuples (addresses and ports all vary).
 void BM_ToeplitzHash(benchmark::State& state) {
   std::uint32_t s = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nic::rss_hash_ipv4(s, ~s, 1000, 2000));
+    benchmark::DoNotOptimize(nic::rss_hash_ipv4(s, ~s, static_cast<std::uint16_t>(s * 7),
+                                                static_cast<std::uint16_t>(s >> 3)));
     ++s;
   }
 }
 BENCHMARK(BM_ToeplitzHash);
+
+void BM_ToeplitzHashReference(benchmark::State& state) {
+  std::uint32_t s = 1;
+  for (auto _ : state) {
+    const std::uint32_t d = ~s;
+    const auto sp = static_cast<std::uint16_t>(s * 7);
+    const auto dp = static_cast<std::uint16_t>(s >> 3);
+    const std::uint8_t input[12] = {
+        static_cast<std::uint8_t>(s >> 24),  static_cast<std::uint8_t>(s >> 16),
+        static_cast<std::uint8_t>(s >> 8),   static_cast<std::uint8_t>(s),
+        static_cast<std::uint8_t>(d >> 24),  static_cast<std::uint8_t>(d >> 16),
+        static_cast<std::uint8_t>(d >> 8),   static_cast<std::uint8_t>(d),
+        static_cast<std::uint8_t>(sp >> 8),  static_cast<std::uint8_t>(sp),
+        static_cast<std::uint8_t>(dp >> 8),  static_cast<std::uint8_t>(dp)};
+    benchmark::DoNotOptimize(nic::toeplitz_hash(input, sizeof(input)));
+    ++s;
+  }
+}
+BENCHMARK(BM_ToeplitzHashReference);
 
 void BM_AesCbcEncrypt(benchmark::State& state) {
   std::array<std::uint8_t, 16> key{};

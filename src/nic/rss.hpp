@@ -1,5 +1,11 @@
 // Toeplitz hash + RSS indirection (the queue-spreading mechanism of the
 // X520/XL710 NICs used in the paper's multi-queue experiments).
+//
+// rss_hash_ipv4() is the production hash: 12 lookups into byte-wise tables
+// generated at compile time from kDefaultRssKey and XORed together, the
+// technique of NIC datapaths and DPDK's rte_thash. toeplitz_hash() is the
+// bit-serial algorithm of the Microsoft RSS specification, kept as the
+// reference oracle the tests and the micro bench compare the tables with.
 #pragma once
 
 #include <array>
@@ -15,14 +21,16 @@ inline constexpr std::array<std::uint8_t, 40> kDefaultRssKey = {
 
 /// Toeplitz hash over an input byte string (RSS spec): for every set bit of
 /// the input, XOR in the 32-bit window of the key starting at that bit.
+/// Bit-serial reference implementation; not on any production path.
 std::uint32_t toeplitz_hash(const std::uint8_t* data, std::size_t len,
                             const std::array<std::uint8_t, 40>& key = kDefaultRssKey);
 
-/// IPv4 + L4-port RSS input (src ip, dst ip, src port, dst port — all
-/// big-endian on the wire; pass host-order values here).
+/// Toeplitz hash of the IPv4 + L4-port RSS input (src ip, dst ip, src port,
+/// dst port — all big-endian on the wire; pass host-order values here)
+/// under kDefaultRssKey. Table-driven; bit-identical to toeplitz_hash() on
+/// the same 12 bytes.
 std::uint32_t rss_hash_ipv4(std::uint32_t src_ip, std::uint32_t dst_ip, std::uint16_t src_port,
-                            std::uint16_t dst_port,
-                            const std::array<std::uint8_t, 40>& key = kDefaultRssKey);
+                            std::uint16_t dst_port);
 
 /// RSS redirection table (RETA): maps hash -> queue. 128 entries, as on
 /// the 82599; initialised round-robin over `n_queues`.

@@ -150,12 +150,11 @@ std::vector<ScenarioSpec> build_registry() {
   }
   {
     // 2^24 flows: ~256 MB of arena lanes + ~1.3 GB of pending kernel
-    // events — the memory-bandwidth wall. Mean per-flow gap is 453 ms, so
-    // a 25 ms window sees each flow at most once; the packet rate is
-    // unchanged (it depends only on the aggregate rate) but every fire is
-    // a cold-memory touch.
+    // events. Mean per-flow gap is 453 ms, so a 25 ms window sees each
+    // flow at most once; the packet rate is unchanged (it depends only on
+    // the aggregate rate) but every fire touches a cold lane.
     ScenarioSpec s{"fig13_fullstack_16m",
-                   "fig13 multiqueue testbed on 2^24 per-flow sources (memory-bandwidth wall)",
+                   "fig13 multiqueue testbed on 2^24 per-flow sources (largest scale rung)",
                    fig13_testbed()};
     s.config.workload.model = ArrivalModel::kPerFlow;
     s.config.workload.poisson = true;

@@ -3,6 +3,7 @@
 #include "tgen/trace.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace metro::tgen {
 
@@ -10,6 +11,8 @@ using sim::Time;
 using namespace metro::sim;  // time literals
 
 FlowSet::FlowSet(std::size_t n_flows, std::uint64_t seed) {
+  // Every lookup reduces flow_id modulo size(): an empty set would divide by 0.
+  if (n_flows == 0) throw std::invalid_argument("FlowSet needs at least one flow");
   sim::Rng rng(seed);
   flows_.reserve(n_flows);
   for (std::size_t i = 0; i < n_flows; ++i) {

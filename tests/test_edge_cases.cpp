@@ -1,6 +1,7 @@
 // Edge cases and failure injection across the stack.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 
 #include "apps/experiment.hpp"
@@ -143,6 +144,17 @@ TEST(EdgeCaseTest, ZeroMeasureWindowYieldsEmptyResult) {
   const auto r = apps::run_experiment(cfg);
   EXPECT_EQ(r.cpu_percent, 0.0);
   EXPECT_EQ(r.throughput_mpps, 0.0);
+}
+
+TEST(EdgeCaseTest, ZeroFlowStreamTestbedThrows) {
+  // Every FlowSet lookup reduces the flow id modulo the set size: a
+  // zero-flow workload must be refused at build time, not divide by zero
+  // on the first packet.
+  apps::ExperimentConfig cfg;
+  cfg.workload.model = apps::ArrivalModel::kStream;
+  cfg.workload.n_flows = 0;
+  EXPECT_THROW(apps::BasicTestbed<sim::Simulation>{cfg}, std::invalid_argument);
+  EXPECT_THROW(apps::run_experiment(cfg), std::invalid_argument);
 }
 
 TEST(EdgeCaseTest, HugeBurstOverflowsRingExactlyOnce) {

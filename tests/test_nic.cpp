@@ -4,6 +4,7 @@
 #include "nic/port.hpp"
 #include "nic/rings.hpp"
 #include "nic/rss.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 
@@ -26,6 +27,76 @@ TEST(ToeplitzTest, DeterministicAndSensitive) {
   const auto h1 = rss_hash_ipv4(0x01020304, 0x05060708, 100, 200);
   EXPECT_EQ(h1, rss_hash_ipv4(0x01020304, 0x05060708, 100, 200));
   EXPECT_NE(h1, rss_hash_ipv4(0x01020304, 0x05060708, 100, 201));
+}
+
+// The 12-byte RSS input of rss_hash_ipv4, in wire order, for the
+// bit-serial reference toeplitz_hash().
+std::uint32_t reference_hash(std::uint32_t src_ip, std::uint32_t dst_ip, std::uint16_t src_port,
+                             std::uint16_t dst_port) {
+  const std::uint8_t input[12] = {
+      static_cast<std::uint8_t>(src_ip >> 24),  static_cast<std::uint8_t>(src_ip >> 16),
+      static_cast<std::uint8_t>(src_ip >> 8),   static_cast<std::uint8_t>(src_ip),
+      static_cast<std::uint8_t>(dst_ip >> 24),  static_cast<std::uint8_t>(dst_ip >> 16),
+      static_cast<std::uint8_t>(dst_ip >> 8),   static_cast<std::uint8_t>(dst_ip),
+      static_cast<std::uint8_t>(src_port >> 8), static_cast<std::uint8_t>(src_port),
+      static_cast<std::uint8_t>(dst_port >> 8), static_cast<std::uint8_t>(dst_port)};
+  return toeplitz_hash(input, sizeof(input));
+}
+
+// The remaining Microsoft IPv4-with-ports vectors, on the table hash and
+// on the reference.
+TEST(ToeplitzTest, MicrosoftReferenceVectorsMore) {
+  // 38.27.205.30:48228 -> 209.142.163.6:2217 => 0xafc7327f
+  EXPECT_EQ(rss_hash_ipv4(0x261bcd1eu, 0xd18ea306u, 48228, 2217), 0xafc7327fu);
+  EXPECT_EQ(reference_hash(0x261bcd1eu, 0xd18ea306u, 48228, 2217), 0xafc7327fu);
+  // 153.39.163.191:44251 -> 202.188.127.2:1303 => 0x10e828a2
+  EXPECT_EQ(rss_hash_ipv4(0x9927a3bfu, 0xcabc7f02u, 44251, 1303), 0x10e828a2u);
+  EXPECT_EQ(reference_hash(0x9927a3bfu, 0xcabc7f02u, 44251, 1303), 0x10e828a2u);
+}
+
+// Microsoft IPv4-only vector (8-byte input, no ports) on the reference.
+TEST(ToeplitzTest, MicrosoftIpv4OnlyVector) {
+  // 66.9.149.187 -> 161.142.100.80 => 0x323e8fc2
+  const std::uint8_t input[8] = {66, 9, 149, 187, 161, 142, 100, 80};
+  EXPECT_EQ(toeplitz_hash(input, sizeof(input)), 0x323e8fc2u);
+}
+
+// Both hashes are linear over GF(2): the hash of an input is the XOR of
+// the hashes of its bytes taken in place (all other bytes zero). So if
+// they agree on every single-byte input — 12 positions x 256 values — they
+// agree on all 2^96 inputs.
+TEST(ToeplitzTest, TableMatchesReferenceOnEverySingleByteInput) {
+  for (int pos = 0; pos < 12; ++pos) {
+    for (std::uint32_t v = 0; v < 256; ++v) {
+      std::uint8_t input[12] = {};
+      input[pos] = static_cast<std::uint8_t>(v);
+      const auto be32 = [&](int at) {
+        return (std::uint32_t{input[at]} << 24) | (std::uint32_t{input[at + 1]} << 16) |
+               (std::uint32_t{input[at + 2]} << 8) | std::uint32_t{input[at + 3]};
+      };
+      const auto be16 = [&](int at) {
+        return static_cast<std::uint16_t>((input[at] << 8) | input[at + 1]);
+      };
+      ASSERT_EQ(rss_hash_ipv4(be32(0), be32(4), be16(8), be16(10)),
+                toeplitz_hash(input, sizeof(input)))
+          << "byte " << pos << " value " << v;
+    }
+  }
+}
+
+TEST(ToeplitzTest, TableMatchesReferenceOnRandomTuples) {
+  sim::Rng rng(20240611);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t a = rng.next_u64();
+    const std::uint64_t b = rng.next_u64();
+    const auto src_ip = static_cast<std::uint32_t>(a);
+    const auto dst_ip = static_cast<std::uint32_t>(a >> 32);
+    const auto src_port = static_cast<std::uint16_t>(b);
+    const auto dst_port = static_cast<std::uint16_t>(b >> 16);
+    ASSERT_EQ(rss_hash_ipv4(src_ip, dst_ip, src_port, dst_port),
+              reference_hash(src_ip, dst_ip, src_port, dst_port))
+        << "tuple " << i;
+  }
 }
 
 TEST(RetaTest, RoundRobinInitialization) {

@@ -49,26 +49,36 @@ TEST(TryLockTest, BasicAcquireRelease) {
 }
 
 TEST(TryLockTest, MutualExclusionUnderContention) {
+  // Count-bounded, not time-bounded: every thread retries until it has held
+  // the lock kPerThread times, so the check is as strict on a slow
+  // (sanitized, oversubscribed) host as on a fast one. The plain counter is
+  // only ever touched under the lock; a lost update there, or a second
+  // thread inside the critical section, is a mutual-exclusion failure.
+  constexpr std::uint64_t kPerThread = 25000;
   TryLock lock;
   std::atomic<int> in_critical{0};
   std::atomic<bool> violation{false};
   std::atomic<std::uint64_t> acquisitions{0};
+  std::uint64_t guarded = 0;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
-      for (int i = 0; i < 200000; ++i) {
+      for (std::uint64_t held = 0; held < kPerThread;) {
         if (lock.try_lock()) {
           if (in_critical.fetch_add(1, std::memory_order_acq_rel) != 0) violation.store(true);
+          ++guarded;
           in_critical.fetch_sub(1, std::memory_order_acq_rel);
           acquisitions.fetch_add(1, std::memory_order_relaxed);
           lock.unlock();
+          ++held;
         }
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_FALSE(violation.load());
-  EXPECT_GT(acquisitions.load(), 100000u);
+  EXPECT_EQ(acquisitions.load(), 4 * kPerThread);
+  EXPECT_EQ(guarded, 4 * kPerThread);
 }
 
 TEST(SpscRingTest, FifoOrderSingleThread) {

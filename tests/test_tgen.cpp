@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "nic/port.hpp"
@@ -29,6 +30,10 @@ TEST(FlowSetTest, DeterministicAndDistinct) {
     if (!(a.tuple(i) == a.tuple(0))) ++distinct;
   }
   EXPECT_EQ(distinct, 63);
+}
+
+TEST(FlowSetTest, ZeroFlowsThrows) {
+  EXPECT_THROW(FlowSet(0, 1), std::invalid_argument);
 }
 
 TEST(StreamGeneratorTest, CbrGapsAreExact) {
