@@ -51,8 +51,7 @@
 //                         identical, wall time measures the crypto).
 //   --flows=N             bench_kernel_throughput: run the full-stack
 //                         scale block on one custom per-flow population
-//                         instead of the registry 1m/4m/16m rungs (the
-//                         wheel gets its for_population geometry).
+//                         instead of the registry 1m/4m/16m rungs.
 //
 // Parsing is strict: unknown flags and malformed numeric values print the
 // usage text and exit 2. Benches that only take --fast use parse_fast(),

@@ -46,12 +46,8 @@
 //     2^22 and 2^24 per-flow sources: the wheel's home regime, the
 //     beyond-LLC regime, and the largest population), repeated over
 //     several trials per backend; the JSON records median/IQR wall time
-//     and packet rate, the wheel's speedup over the heap, and the
-//     for_population-selected geometry's win over the fixed 8/10/5
-//     default. --fast drops the 16M rung; --flows=N swaps the rungs for
-//     one custom population. A slot_bits x tick_shift wheel-geometry
-//     grid sweep per population (fingerprint-gated: geometry is a pure
-//     speed knob) backs the WheelConfig::for_population picker.
+//     and packet rate and the wheel's speedup over the heap. --fast drops
+//     the 16M rung; --flows=N swaps the rungs for one custom population.
 // Plus the fig16 IPsec live-crypto delta: the end-to-end wall cost of
 // running the real ESP gateway per packet (the crypto substrate's own
 // per-op timings are bench_crypto's, in BENCH_crypto.json).
@@ -578,13 +574,9 @@ int main(int argc, char** argv) {
   // 2^24 per-flow sources) — the wheel's home regime, then the beyond-LLC
   // regime and the largest population. Wall time is noisy at these run
   // lengths, so every enabled backend is repeated over several trials
-  // (serially: wall is the metric) and the JSON records median/IQR. On
-  // top of the cross-backend identity check, the wheel runs twice per
-  // trial wherever for_population() picks a non-default geometry: once
-  // with the registry's auto geometry and once with the fixed 8/10/5
-  // default, so the auto-selection win is measured, not assumed. The
-  // execution itself is deterministic: every trial of every backend and
-  // every geometry must produce one and the same telemetry fingerprint.
+  // (serially: wall is the metric) and the JSON records median/IQR. The
+  // execution itself is deterministic: every trial of every backend must
+  // produce one and the same telemetry fingerprint.
   // --fast drops the 16M population (tier-1 CI budget); --flows=N swaps
   // the rungs for one custom population built from the 1M scenario's
   // testbed.
@@ -605,8 +597,6 @@ int main(int argc, char** argv) {
     metro::apps::ExperimentConfig cfg;   // bench windows + --flows applied
     int trials = 0;
     std::array<ScaleSamples, 2> backend;  // indexed by BackendKind: heap, wheel
-    ScaleSamples wheel_fixed;             // wheel under the fixed 8/10/5 default
-    bool fixed_distinct = false;          // for_population() != default geometry
     bool diverged = false;
     std::uint64_t fp = 0;
     bool have_fp = false;
@@ -634,13 +624,8 @@ int main(int argc, char** argv) {
       if (args.flows != 0) {
         pr.name = "fig13_fullstack_custom";
         pr.cfg.workload.n_flows = args.flows;
-        pr.cfg.wheel = metro::sim::WheelConfig::for_population(args.flows);
       }
       if (fast) pr.cfg.measure = 10 * metro::sim::kMillisecond;
-      const metro::sim::WheelConfig def{};
-      pr.fixed_distinct = pr.cfg.wheel.slot_bits != def.slot_bits ||
-                          pr.cfg.wheel.tick_shift != def.tick_shift ||
-                          pr.cfg.wheel.levels != def.levels;
       pops.push_back(std::move(pr));
     }
   }
@@ -648,26 +633,13 @@ int main(int argc, char** argv) {
   for (auto& pr : pops) {
     for (int trial = 0; trial < pr.trials; ++trial) {
       std::vector<metro::scenario::Shard> shards;
-      std::vector<int> slot;  // 0..1 = BackendKind index, 2 = wheel_fixed
       for (const auto backend : metro::bench::backend_kinds(args.backend)) {
         shards.push_back(metro::scenario::Shard{pr.name, backend, pr.cfg});
-        slot.push_back(static_cast<int>(backend));
-      }
-      if (wheel_on && pr.fixed_distinct) {
-        auto cfg = pr.cfg;
-        cfg.wheel = metro::sim::WheelConfig{};
-        shards.push_back(
-            metro::scenario::Shard{pr.name, metro::scenario::BackendKind::kWheel, cfg});
-        slot.push_back(2);
       }
       const auto out = metro::scenario::SweepRunner(1).run(shards);
       for (std::size_t i = 0; i < shards.size(); ++i) {
         const auto r = from_shard(out[i]);
-        if (slot[i] == 2) {
-          pr.wheel_fixed.add(r);
-        } else {
-          pr.backend[static_cast<std::size_t>(slot[i])].add(r);
-        }
+        pr.backend[static_cast<std::size_t>(shards[i].backend)].add(r);
         if (!pr.have_fp) {
           pr.have_fp = true;
           pr.fp = r.fingerprint;
@@ -675,10 +647,8 @@ int main(int argc, char** argv) {
           pr.diverged = true;
           scale_diverged = true;
           std::cerr << "DIVERGENCE in " << pr.name << ": "
-                    << (slot[i] == 2 ? "wheel(8/10/5)"
-                                     : metro::scenario::backend_name(shards[i].backend))
-                    << " trial " << trial << " fingerprint " << r.fingerprint << " != " << pr.fp
-                    << "\n";
+                    << metro::scenario::backend_name(shards[i].backend) << " trial " << trial
+                    << " fingerprint " << r.fingerprint << " != " << pr.fp << "\n";
         }
       }
     }
@@ -695,64 +665,6 @@ int main(int argc, char** argv) {
   const auto iqr = [&](const std::vector<double>& v) {
     return quantile(v, 0.75) - quantile(v, 0.25);
   };
-
-  // Wheel geometry sweep: a slot_bits x tick_shift grid over every scale
-  // population, levels filled in as the deepest hierarchy the kernel's
-  // tick_shift + levels*slot_bits <= 62 bound admits (capped at the
-  // default 5). This is the measurement WheelConfig::for_population()
-  // encodes: the winner per population. Geometry is a pure speed knob —
-  // every grid point must reproduce the population's fingerprint bit for
-  // bit. One trial per point (the medians the picker is built from come
-  // from the repeated-trial scale block above); the 16M population gets
-  // the reduced grid even in full mode to keep the bench's wall time
-  // bounded.
-  struct GeoPoint {
-    metro::sim::WheelConfig cfg;
-    FullstackRun run;
-  };
-  struct GeoSweep {
-    std::vector<GeoPoint> points;
-    std::size_t best = 0;
-    bool ran = false;
-  };
-  std::vector<GeoSweep> geo_sweeps(pops.size());
-  bool wheel_geo_diverged = false;
-  if (wheel_on) {
-    for (std::size_t p = 0; p < pops.size(); ++p) {
-      auto& pr = pops[p];
-      const bool small_grid = fast || pr.cfg.workload.n_flows >= (std::size_t{1} << 24);
-      const std::vector<std::uint32_t> sbs =
-          small_grid ? std::vector<std::uint32_t>{8, 12} : std::vector<std::uint32_t>{8, 10, 12};
-      const std::vector<std::uint32_t> tss =
-          small_grid ? std::vector<std::uint32_t>{10, 16}
-                     : std::vector<std::uint32_t>{10, 13, 16};
-      auto& sweep = geo_sweeps[p];
-      std::vector<metro::scenario::Shard> shards;
-      for (const auto sb : sbs) {
-        for (const auto ts : tss) {
-          const metro::sim::WheelConfig wc{sb, ts, std::min(5u, (62u - ts) / sb)};
-          auto cfg = pr.cfg;
-          cfg.wheel = wc;
-          shards.push_back(
-              metro::scenario::Shard{pr.name, metro::scenario::BackendKind::kWheel, cfg});
-          sweep.points.push_back(GeoPoint{wc, {}});
-        }
-      }
-      const auto out = metro::scenario::SweepRunner(1).run(shards);
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        sweep.points[i].run = from_shard(out[i]);
-        if (pr.have_fp && sweep.points[i].run.fingerprint != pr.fp) {
-          wheel_geo_diverged = true;
-          std::cerr << "GEOMETRY DIVERGENCE in " << pr.name << " at wheel "
-                    << sweep.points[i].cfg.slot_bits << "/" << sweep.points[i].cfg.tick_shift
-                    << "/" << sweep.points[i].cfg.levels
-                    << ": telemetry differs from the scale-block runs\n";
-        }
-        if (sweep.points[i].run.wall < sweep.points[sweep.best].run.wall) sweep.best = i;
-      }
-      sweep.ran = true;
-    }
-  }
 
   const auto row = [&](const char* name, const ScenarioResult& r) {
     std::cout << "  " << name << ": legacy " << metro::bench::num(r.baseline_eps() / 1e6)
@@ -818,35 +730,15 @@ int main(int argc, char** argv) {
               << b.last.pending << " pending events\n";
   };
   for (const auto& pr : pops) {
-    const auto& wc = pr.cfg.wheel;
     std::cout << "\n  " << pr.name << " (" << pr.cfg.workload.n_flows << " per-flow sources, "
-              << pr.trials << " trials per backend, wheel " << wc.slot_bits << "/"
-              << wc.tick_shift << "/" << wc.levels << "):\n";
-    scale_row("heap        ", pr.backend[0]);
-    scale_row("wheel(auto) ", pr.backend[1]);
-    scale_row("wheel(8/10/5)", pr.wheel_fixed);
+              << pr.trials << " trials per backend):\n";
+    scale_row("heap ", pr.backend[0]);
+    scale_row("wheel", pr.backend[1]);
     const auto& wheel = pr.backend[1];
     if (wheel.ran && pr.backend[0].ran) {
       std::cout << "    wheel vs heap: x"
-                << metro::bench::num(median(pr.backend[0].wall) / median(wheel.wall));
-      if (pr.wheel_fixed.ran) {
-        std::cout << ", auto vs fixed geometry: x"
-                  << metro::bench::num(median(pr.wheel_fixed.wall) / median(wheel.wall));
-      }
-      std::cout << (pr.diverged ? "  [TELEMETRY DIVERGED]" : "  (identical telemetry)") << "\n";
-    }
-  }
-  for (std::size_t p = 0; p < geo_sweeps.size(); ++p) {
-    const auto& sweep = geo_sweeps[p];
-    if (!sweep.ran || sweep.points.empty()) continue;
-    std::cout << "\n  wheel geometry sweep, " << pops[p].name << " (" << sweep.points.size()
-              << " grid points, slot_bits x tick_shift):\n";
-    for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-      const auto& pt = sweep.points[i];
-      std::cout << "    " << pt.cfg.slot_bits << "/" << pt.cfg.tick_shift << "/"
-                << pt.cfg.levels << ": wall " << metro::bench::num(pt.run.wall) << " s, "
-                << metro::bench::num(pt.run.pps / 1e6) << " M pkt/s"
-                << (i == sweep.best ? "  <- best" : "") << "\n";
+                << metro::bench::num(median(pr.backend[0].wall) / median(wheel.wall))
+                << (pr.diverged ? "  [TELEMETRY DIVERGED]" : "  (identical telemetry)") << "\n";
     }
   }
 
@@ -904,6 +796,13 @@ int main(int argc, char** argv) {
   if (heap_on) w.value("heap");
   if (wheel_on) w.value("wheel");
   w.end_array();
+  // Every wheel run in this report uses the one production geometry.
+  const metro::sim::WheelConfig geometry{};
+  w.key("wheel_geometry").begin_object();
+  w.kv("slot_bits", static_cast<std::uint64_t>(geometry.slot_bits));
+  w.kv("tick_shift", static_cast<std::uint64_t>(geometry.tick_shift));
+  w.kv("levels", static_cast<std::uint64_t>(geometry.levels));
+  w.end_object();
   w.key("scenarios").begin_object();
   const auto emit_backend_run = [&w](const char* key, const ScenarioResult& r, const Run& run) {
     w.key(key).begin_object();
@@ -976,18 +875,9 @@ int main(int argc, char** argv) {
     w.kv("trials", static_cast<std::uint64_t>(pr.trials));
     emit_scale_samples("heap", pr.backend[0]);
     emit_scale_samples("wheel", pr.backend[1]);
-    emit_scale_samples("wheel_fixed", pr.wheel_fixed);
-    w.key("wheel_geometry").begin_object();
-    w.kv("slot_bits", static_cast<std::uint64_t>(pr.cfg.wheel.slot_bits));
-    w.kv("tick_shift", static_cast<std::uint64_t>(pr.cfg.wheel.tick_shift));
-    w.kv("levels", static_cast<std::uint64_t>(pr.cfg.wheel.levels));
-    w.end_object();
     const auto& wheel = pr.backend[1];
     if (wheel.ran && pr.backend[0].ran) {
       w.kv("wheel_vs_heap_speedup", median(pr.backend[0].wall) / median(wheel.wall));
-    }
-    if (wheel.ran && pr.wheel_fixed.ran) {
-      w.kv("wheel_auto_vs_fixed_speedup", median(pr.wheel_fixed.wall) / median(wheel.wall));
     }
     w.kv("telemetry_identical", !pr.diverged);
   };
@@ -1001,42 +891,6 @@ int main(int argc, char** argv) {
   w.end_object();
   w.kv("telemetry_identical", !scale_diverged);
   w.end_object();
-  {
-    bool any_sweep = false;
-    for (const auto& s : geo_sweeps) any_sweep = any_sweep || (s.ran && !s.points.empty());
-    if (any_sweep) {
-      w.key("wheel_geometry_sweep").begin_object();
-      w.key("populations").begin_object();
-      for (std::size_t p = 0; p < geo_sweeps.size(); ++p) {
-        const auto& sweep = geo_sweeps[p];
-        if (!sweep.ran || sweep.points.empty()) continue;
-        w.key(pops[p].name.c_str()).begin_object();
-        w.kv("n_flows", static_cast<std::uint64_t>(pops[p].cfg.workload.n_flows));
-        w.key("grid").begin_array();
-        for (const auto& pt : sweep.points) {
-          w.begin_object();
-          w.kv("slot_bits", static_cast<std::uint64_t>(pt.cfg.slot_bits));
-          w.kv("tick_shift", static_cast<std::uint64_t>(pt.cfg.tick_shift));
-          w.kv("levels", static_cast<std::uint64_t>(pt.cfg.levels));
-          w.kv("wall_seconds", pt.run.wall);
-          w.kv("simulated_packets_per_sec", pt.run.pps);
-          w.end_object();
-        }
-        w.end_array();
-        const auto& best = sweep.points[sweep.best];
-        w.key("best").begin_object();
-        w.kv("slot_bits", static_cast<std::uint64_t>(best.cfg.slot_bits));
-        w.kv("tick_shift", static_cast<std::uint64_t>(best.cfg.tick_shift));
-        w.kv("levels", static_cast<std::uint64_t>(best.cfg.levels));
-        w.kv("wall_seconds", best.run.wall);
-        w.end_object();
-        w.end_object();
-      }
-      w.end_object();
-      w.kv("telemetry_identical", !wheel_geo_diverged);
-      w.end_object();
-    }
-  }
   w.key("fig13_multiqueue").begin_object();
   w.kv("backend", "heap");
   w.kv("simulated_packets_per_sec", fig13_pps);
@@ -1062,11 +916,9 @@ int main(int argc, char** argv) {
   w.end_object();
   w.end_object();
   w.finish();
-  if (fullstack_diverged || scale_diverged || wheel_geo_diverged) {
-    std::cout << "\nwrote BENCH_kernel.json ("
-              << (fullstack_diverged ? "BACKEND"
-                  : scale_diverged   ? "SCALE"
-                                     : "WHEEL-GEOMETRY") << " DIVERGENCE — failing)\n";
+  if (fullstack_diverged || scale_diverged) {
+    std::cout << "\nwrote BENCH_kernel.json (" << (fullstack_diverged ? "BACKEND" : "SCALE")
+              << " DIVERGENCE — failing)\n";
     return 1;
   }
   std::cout << "\nwrote BENCH_kernel.json\n";

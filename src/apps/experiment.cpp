@@ -154,10 +154,7 @@ void BasicTestbed<Sim>::start() {
       // Arena form, not one coroutine per flow: at fig13_fullstack_1m+
       // scale (2^20..2^24 flows) the spawn loop and its millions of
       // frames would dominate setup; the SoA lanes are 16 B per flow.
-      // Bit-identical stream either way (test_tgen). Scenarios at this
-      // scale also set cfg_.wheel = WheelConfig::for_population(n_flows)
-      // so the wheel backend's geometry matches the timer population
-      // (registry.cpp); geometry never changes results, only wall time.
+      // Bit-identical stream either way (test_tgen).
       flow_arena_ = std::make_unique<tgen::PerFlowSourceArena<Sim>>(*sim_, *port_, *flows_, src);
     } else if (generator_ != nullptr) {
       tgen::attach(*sim_, *port_, *generator_);

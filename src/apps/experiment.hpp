@@ -123,8 +123,10 @@ struct ExperimentConfig {
 
   /// Event-queue geometry used when the testbed is instantiated over the
   /// timing-wheel kernel (BasicTestbed<sim::WheelSimulation>); ignored on
-  /// the heap. Geometry only changes simulation speed, never the
-  /// execution — runs stay bit-identical across geometries (and backends).
+  /// the heap. Every registered scenario runs the default; tests set tiny
+  /// geometries, and the benchmark harness (perfbench/) assigns it.
+  /// Geometry only changes simulation speed, never the execution — runs
+  /// stay bit-identical across geometries (and backends).
   sim::WheelConfig wheel{};
 
   WorkloadConfig workload{};
@@ -237,8 +239,7 @@ class BasicTestbed {
   /// The SoA per-flow source arena (nullptr unless the workload model is
   /// ArrivalModel::kPerFlow). Exposes the lane accessors —
   /// flow_count()/armed()/fired() and the per-flow lanes — for scale
-  /// diagnostics; the pending-timer population it reports is what
-  /// WheelConfig::for_population sizes the wheel geometry against.
+  /// diagnostics.
   const tgen::PerFlowSourceArena<Sim>* flow_arena() const { return flow_arena_.get(); }
 
  private:

@@ -270,32 +270,11 @@ struct WheelConfig {
   /// ns wide. Events beyond level `levels - 1`'s horizon go to overflow.
   std::uint32_t levels = 5;
 
-  /// Measured per-population default geometry for the per-flow-source
-  /// regime (one armed timer per flow, re-arm gaps that grow linearly
-  /// with the population at a fixed aggregate rate).
-  ///
-  /// The numbers come from the `wheel_geometry_sweep` block of
-  /// bench_kernel_throughput (slot_bits x tick_shift grid over the
-  /// fig13_fullstack_1m/4m/16m scenarios, median wall time over repeated
-  /// trials; the fingerprint-identity gate proves geometry is a pure
-  /// speed knob, so the pick can never change results). The trend the
-  /// sweep shows: what matters is the level-0 horizon
-  /// `2^(slot_bits + tick_shift)` ns against the mean re-arm gap — once
-  /// the horizon covers the gap, re-arms land in level 0 directly and
-  /// are touched once instead of cascading down level by level. Hence
-  /// the horizon grows with the population while finer resolution (and
-  /// depth, bounded by `tick_shift + levels*slot_bits <= 62`) is traded
-  /// away.
-  ///
-  /// Guarantees (pinned in tests/test_timing_wheel.cpp): the returned
-  /// geometry is always constructible, the pick is a pure function of
-  /// `pending`, and the level-0 horizon is non-decreasing in the
-  /// population.
-  static constexpr WheelConfig for_population(std::size_t pending) noexcept {
-    if (pending < (std::size_t{1} << 21)) return WheelConfig{};     // <= ~1M: 8/10/5
-    if (pending < (std::size_t{1} << 23)) return WheelConfig{8, 16, 5};   // ~4M
-    return WheelConfig{12, 16, 3};  // >= ~8M: widest horizon
-  }
+  /// The one production geometry for every population: trial-backed
+  /// sweeps found no `slot_bits x tick_shift` point that beats 8/10/5
+  /// beyond noise at 2^20, 2^22 or 2^24 flows (docs/ARCHITECTURE.md).
+  /// Kept only because the benchmark harness (perfbench/) calls it.
+  static constexpr WheelConfig for_population(std::size_t) noexcept { return WheelConfig{}; }
 };
 
 /// Hierarchical timing wheel tuned for very large pending populations of
@@ -349,10 +328,10 @@ class TimingWheelBackend {
 
   /// Default geometry (WheelConfig defaults).
   TimingWheelBackend() : TimingWheelBackend(WheelConfig{}) {}
-  /// Custom geometry. Degenerate or overflowing grids are rejected loudly
-  /// in every build type (benches sweep geometry in Release, where an
-  /// assert would vanish): the top level's slot width must still fit in
-  /// the non-negative Time range.
+  /// Custom geometry (tests use tiny ones to reach cascades and overflow
+  /// epochs). Degenerate or overflowing grids are rejected loudly in every
+  /// build type, not by an assert that vanishes in Release: the top
+  /// level's slot width must still fit in the non-negative Time range.
   explicit TimingWheelBackend(const WheelConfig& cfg) : cfg_(cfg) {
     if (cfg.slot_bits < 1 || cfg.slot_bits > 20 || cfg.levels < 1 || cfg.levels > 16 ||
         cfg.tick_shift + cfg.levels * cfg.slot_bits > 62) {

@@ -177,9 +177,17 @@ TEST(MetronomeRtTest, AdaptsTsWhenRateRises) {
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   const double ts_low_load = rt.current_ts_us();
   rt.set_rate_pps(2e6);  // 100x the load
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  const double ts_high_load = rt.current_ts_us();
-  const double rho_high = rt.current_rho();
+  // Poll rather than sleep a fixed time: on a busy host the controller
+  // may need longer than any fixed window to see the new load.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  double ts_high_load = rt.current_ts_us();
+  double rho_high = rt.current_rho();
+  while ((ts_high_load >= ts_low_load || rho_high <= 0.005) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ts_high_load = rt.current_ts_us();
+    rho_high = rt.current_rho();
+  }
   rt.stop();
   // Eq. 13: TS shrinks from ~M*target toward ~target as rho grows.
   EXPECT_LT(ts_high_load, ts_low_load);

@@ -69,6 +69,17 @@ TEST(ScenarioRegistryTest, RegistersDiverseScenarios) {
   EXPECT_TRUE(models.count(ArrivalModel::kTrace));
 }
 
+TEST(ScenarioRegistryTest, EveryScenarioRunsTheDefaultWheelGeometry) {
+  // One production wheel geometry: no registered population, however
+  // large, carries a geometry of its own.
+  const sim::WheelConfig def{};
+  for (const auto& s : scenario::all_scenarios()) {
+    EXPECT_EQ(s.config.wheel.slot_bits, def.slot_bits) << s.name;
+    EXPECT_EQ(s.config.wheel.tick_shift, def.tick_shift) << s.name;
+    EXPECT_EQ(s.config.wheel.levels, def.levels) << s.name;
+  }
+}
+
 TEST(ScenarioRegistryTest, FindByName) {
   EXPECT_NE(scenario::find_scenario("mmpp_bursty"), nullptr);
   EXPECT_EQ(scenario::find_scenario("no_such_scenario"), nullptr);

@@ -120,40 +120,6 @@ TEST(TimingWheelTest, GeometryIsValidatedLoudly) {
   EXPECT_NO_THROW(TimingWheelBackend{tiny_geometry()});
 }
 
-TEST(TimingWheelTest, ForPopulationPicksValidMonotoneGeometry) {
-  // The per-population defaults come from bench_kernel_throughput's
-  // wheel_geometry_sweep (see WheelConfig::for_population). Whatever the
-  // measured winners are, three properties must hold:
-  //   * every pick constructs without throwing (the ctor validation is
-  //     the arbiter of "valid"),
-  //   * the pick is a pure function of the population (same n, same
-  //     geometry — callers bake it into scenario configs),
-  //   * the level-0 horizon 2^(slot_bits + tick_shift) never shrinks as
-  //     the population grows: larger populations mean longer per-flow
-  //     re-arm gaps at a fixed aggregate rate, so a coarser/wider level 0
-  //     is the only direction the sweep can move.
-  std::uint64_t last_horizon_bits = 0;
-  for (std::size_t bits = 0; bits <= 26; ++bits) {
-    const std::size_t n = std::size_t{1} << bits;
-    const WheelConfig cfg = WheelConfig::for_population(n);
-    EXPECT_NO_THROW(TimingWheelBackend{cfg}) << "population 2^" << bits;
-    const WheelConfig again = WheelConfig::for_population(n);
-    EXPECT_EQ(cfg.slot_bits, again.slot_bits);
-    EXPECT_EQ(cfg.tick_shift, again.tick_shift);
-    EXPECT_EQ(cfg.levels, again.levels);
-    const std::uint64_t horizon_bits = cfg.slot_bits + cfg.tick_shift;
-    EXPECT_GE(horizon_bits, last_horizon_bits) << "population 2^" << bits;
-    last_horizon_bits = horizon_bits;
-  }
-  // Small populations keep the shipped default: the picker must never
-  // perturb the regime every pre-existing scenario runs in.
-  const WheelConfig small = WheelConfig::for_population(1024);
-  const WheelConfig def{};
-  EXPECT_EQ(small.slot_bits, def.slot_bits);
-  EXPECT_EQ(small.tick_shift, def.tick_shift);
-  EXPECT_EQ(small.levels, def.levels);
-}
-
 TEST(TimingWheelTest, PerLevelCascadeKeepsTotalOrder) {
   // Events spread across several level-1 and level-2 slot spans: coarse
   // slots must cascade down exactly once per level and fire in (at, seq)
