@@ -58,6 +58,7 @@
 #include <utility>
 #include <coroutine>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -230,6 +231,17 @@ using metro::sim::Time;
 
 double wall_seconds(std::chrono::steady_clock::time_point from) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - from).count();
+}
+
+/// The process's peak resident set so far (VmHWM), MB; 0 where
+/// /proc/self/status is unavailable.
+double peak_rss_mb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+  }
+  return 0.0;
 }
 
 // --- scenario bodies, templated over the kernel implementation -------------
@@ -792,6 +804,10 @@ int main(int argc, char** argv) {
   w.begin_object();
   w.kv("bench", "kernel_throughput");
   w.kv("fast_mode", fast);
+  // Whole-process peak: with --backend=wheel --flows=N it is that
+  // population's memory. Top-level, outside every "trials" object, so
+  // the regression gate ignores it.
+  w.kv("peak_rss_mb", peak_rss_mb());
   w.key("backends").begin_array();
   if (heap_on) w.value("heap");
   if (wheel_on) w.value("wheel");

@@ -64,22 +64,28 @@
 
 namespace metro::sim {
 
-/// Discriminates the two event payload flavours carried by EventEntry.
+/// Discriminates the three event payload flavours carried by EventEntry.
+/// Only kCallback entries are cancellable: the backends' position and
+/// liveness hooks (ctx.moved / ctx.dead) concern them alone.
 enum class EventKind : std::uint32_t {
   kCoroutine,  ///< payload is a raw coroutine frame address (hot path)
-  kCallback    ///< slot indexes the simulation's pooled callback table
+  kCallback,   ///< slot indexes the simulation's pooled callback table
+  kIndexed     ///< payload is an IndexedTarget*, slot the index it fires
 };
 
 /// 32-byte POD event record; comparisons and moves stay inside contiguous
 /// backend storage. For kCoroutine entries `payload` is the frame address;
 /// for kCallback entries it carries the slot *generation* at scheduling
 /// time, which is how tombstoning backends detect cancellation (a
-/// cancelled slot's generation has been bumped).
+/// cancelled slot's generation has been bumped); for kIndexed entries it
+/// is the receiver the index is handed to.
 struct EventEntry {
   Time at;            ///< absolute virtual timestamp, ns
   std::uint64_t seq;  ///< global insertion sequence; ties broken by it
-  void* payload;      ///< coroutine frame, or encoded generation
-  std::uint32_t slot; ///< kCallback: index into the callback slot pool
+  void* payload;      ///< coroutine frame, encoded generation, or receiver
+  /// kCallback: index into the callback slot pool; kIndexed: the index
+  /// passed to the receiver (e.g. a flow id); kCoroutine: unused (0).
+  std::uint32_t slot;
   EventKind kind;     ///< payload discriminator
 };
 static_assert(sizeof(EventEntry) == 32);

@@ -27,7 +27,15 @@
 ///     pooled slot with a small-buffer-optimised callable and a stable
 ///     EventId, so pending timers can be *cancelled* instead of being left
 ///     to fire as stale no-ops. Callables that are trivially copyable and
-///     fit kInlineCallbackSize bytes never touch the heap allocator.
+///     fit kInlineCallbackSize bytes never touch the heap allocator;
+///   * indexed events (the per-flow arena's timers, millions of them
+///     pending at once) are uncancellable "call receiver R with index i":
+///     the IndexedTarget pointer and the index ride in the event record
+///     itself, so such a timer is the 32-byte record and nothing else —
+///     no pooled slot, no liveness or position bookkeeping.
+///
+/// All three flavours draw their sequence number from the same counter, so
+/// switching a timer between them never changes the execution order.
 #pragma once
 
 #include <cassert>
@@ -45,6 +53,15 @@
 #include "sim/time.hpp"
 
 namespace metro::sim {
+
+/// Receiver of indexed events (BasicSimulation::schedule_indexed_at). The
+/// kernel calls `fire(self, index)`; an owner derives from the target and
+/// recovers itself from `self` by static_cast. A plain function pointer, as in
+/// the callback path's SmallCallback, keeps the receiver a POD and the
+/// dispatch one indirect call.
+struct IndexedTarget {
+  void (*fire)(IndexedTarget* self, std::uint32_t index);
+};
 
 /// The discrete-event kernel, templated over the pending-event store.
 ///
@@ -148,6 +165,23 @@ class BasicSimulation {
   /// Schedule a coroutine resume `delay` nanoseconds from now.
   void schedule_handle_after(Time delay, std::coroutine_handle<> h) {
     schedule_handle_at(now_ + (delay < 0 ? 0 : delay), h);
+  }
+
+  /// Schedule `target->fire(target, index)` at absolute virtual time `t`.
+  /// The uncancellable, allocation-free timer for populations of pending
+  /// events (one per flow): target and index ride in the event record, so
+  /// the kernel keeps no per-event state beside it. Takes the next
+  /// sequence number and enters the backend exactly as schedule_at does,
+  /// so it is order-equivalent to a callback scheduled at the same point.
+  /// `target` must outlive the event.
+  void schedule_indexed_at(Time t, IndexedTarget* target, std::uint32_t index) {
+    EventEntry e;
+    e.at = t < now_ ? now_ : t;
+    e.seq = next_seq_++;
+    e.payload = target;
+    e.slot = index;
+    e.kind = EventKind::kIndexed;
+    queue_.push(e, ctx());
   }
 
   /// Remove a pending callback event (O(log n) positional erase on the
@@ -361,6 +395,9 @@ class BasicSimulation {
     if (top.kind == EventKind::kCoroutine) {
       const auto h = std::coroutine_handle<>::from_address(top.payload);
       if (!h.done()) h.resume();
+    } else if (top.kind == EventKind::kIndexed) {
+      auto* target = static_cast<IndexedTarget*>(top.payload);
+      target->fire(target, top.slot);
     } else {
       // Detach the callable before invoking: the handler may schedule new
       // events that reuse this slot, and the popped id is stale from here.

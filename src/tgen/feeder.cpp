@@ -96,7 +96,7 @@ template void attach<sim::WheelSimulation>(sim::WheelSimulation&,
 template <typename Sim>
 PerFlowSourceArena<Sim>::PerFlowSourceArena(Sim& sim, nic::BasicPort<Sim>& port,
                                             const FlowSet& flows, PerFlowSourceConfig cfg)
-    : sim_(sim), port_(port), cfg_(cfg) {
+    : sim::IndexedTarget{&PerFlowSourceArena::on_timer}, sim_(sim), port_(port), cfg_(cfg) {
   const auto n = flows.size();
   if (n == 0 || cfg.total_rate_pps <= 0.0) return;
   // Exact-size lane fills: at 2^24 flows a reserve-less push_back loop
@@ -140,10 +140,18 @@ void PerFlowSourceArena<Sim>::bootstrap() {
 
 template <typename Sim>
 void PerFlowSourceArena<Sim>::arm(std::uint32_t flow) {
-  // [this, flow] is 16 trivially-copyable bytes — inside the kernel's
-  // inline callback budget, so steady state never allocates.
-  sim_.schedule_at(next_at_[flow], [this, flow] { --armed_; fire(flow); });
+  // An indexed event: the pending timer is its 32-byte event record alone.
+  // It takes its sequence number exactly as a callback would, so the
+  // execution order is the coroutine path's.
+  sim_.schedule_indexed_at(next_at_[flow], this, flow);
   ++armed_;
+}
+
+template <typename Sim>
+void PerFlowSourceArena<Sim>::on_timer(sim::IndexedTarget* self, std::uint32_t flow) {
+  auto* arena = static_cast<PerFlowSourceArena*>(self);
+  --arena->armed_;
+  arena->fire(flow);
 }
 
 template <typename Sim>

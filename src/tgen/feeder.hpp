@@ -20,14 +20,15 @@
 //     reference; a heap-allocated frame per flow makes it unaffordable at
 //     the million-flow mark.
 //   * PerFlowSourceArena — the same processes as a structure-of-arrays
-//     arena plus one pooled callback timer per flow. 16 bytes of arena
-//     state per flow across three packed lanes, steady-state
+//     arena plus one indexed kernel timer per flow: 16 bytes of arena
+//     state across three packed lanes and one 32-byte event record per
+//     armed flow, with no callback slot behind it. Steady-state
 //     allocation-free, and construction is a few vector fills instead of
 //     millions of coroutine frames. Emits the byte-identical event
 //     stream (enforced by tests/test_tgen.cpp).
 //
 // All entry points are generic over the kernel instantiation; defined in
-// feeder.cpp and instantiated for the three shipped backends.
+// feeder.cpp and instantiated for the two shipped backends.
 #pragma once
 
 #include <memory>
@@ -82,10 +83,13 @@ void attach_per_flow_sources(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet&
 ///                            RNG (per-flow accounting for the at-scale
 ///                            invariant tests).
 ///
-/// One pending kernel timer per flow carries only the flow index (the
-/// 16-byte callback fits the kernel's inline budget), so a fire touches
-/// the firing flow's lane entries and nothing else — no coroutine frame,
-/// no per-arrival allocation, no shared record to false-share.
+/// One pending kernel timer per flow is an indexed event
+/// (Sim::schedule_indexed_at): the 32-byte event record carries the arena
+/// as its receiver and the flow as its index, and nothing else exists per
+/// pending timer — no pooled callback slot, no cancellation bookkeeping
+/// (arena timers are never cancelled). A fire touches the firing flow's
+/// lane entries and nothing else — no coroutine frame, no per-arrival
+/// allocation, no shared record to false-share.
 ///
 /// Re-arming is batched where the population is batched: constructing the
 /// arena schedules a single bootstrap callback that first streams the
@@ -107,10 +111,10 @@ void attach_per_flow_sources(Sim& sim, nic::BasicPort<Sim>& port, const FlowSet&
 /// (tests/test_tgen.cpp pins this). Only the kernel's internal event
 /// count differs: one bootstrap event replaces the n spawn resumes.
 ///
-/// The arena must outlive the simulation run; it is pinned (callbacks
-/// capture `this`).
+/// The arena must outlive the simulation run; it is pinned (pending
+/// events and the bootstrap callback point at `this`).
 template <typename Sim>
-class PerFlowSourceArena {
+class PerFlowSourceArena : private sim::IndexedTarget {
  public:
   /// next_fire_at() value of a flow with no pending timer (retired past
   /// `start + duration`, or not yet bootstrapped).
@@ -138,6 +142,8 @@ class PerFlowSourceArena {
 
  private:
   void bootstrap();
+  /// IndexedTarget::fire: a flow's timer expired.
+  static void on_timer(sim::IndexedTarget* self, std::uint32_t flow);
   void fire(std::uint32_t flow);
   void arm(std::uint32_t flow);
 

@@ -4,13 +4,15 @@
 // why it is built separately from metro_tests, see CMakeLists.txt) and
 // asserts that a hot-loop window of the event kernel — coroutine sleeps,
 // SleepService two-phase wake-ups, Signal waits racing timeouts, Core job
-// completions — performs ZERO heap allocations once the pools are warm.
+// completions, the per-flow arena's fire/arm path — performs ZERO heap
+// allocations once the pools are warm.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
+#include "nic/port.hpp"
 #include "sim/cpu.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sleep_service.hpp"
@@ -19,6 +21,8 @@
 #include "stats/metric_set.hpp"
 #include "stats/time_series.hpp"
 #include "stats/trace.hpp"
+#include "tgen/feeder.hpp"
+#include "tgen/generator.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -229,6 +233,51 @@ TYPED_TEST(AllocFreeBackendTest, SteadyStateKernelDoesNotAllocate) {
   EXPECT_EQ(series.dropped(), 0u);
   EXPECT_GT(tracer.size(), 0u) << "sampled kernel fires were traced";
   sim.set_tracer(nullptr);
+}
+
+template <typename Sim>
+Task drain(nic::BasicRxRing<Sim>& ring, std::uint64_t& delivered) {
+  nic::PacketDesc buf[32];
+  for (;;) {
+    const int n = ring.pop_burst(buf, 32);
+    delivered += static_cast<std::uint64_t>(n);
+    if (n == 0) co_await ring.arrival_signal().wait();
+  }
+}
+
+// The per-flow arena's fire/arm path: every fire emits a packet into the
+// port, draws the next gap and re-arms the flow's indexed timer. Once the
+// backend has seen its peak, that loop must not allocate on either
+// backend.
+TYPED_TEST(AllocFreeBackendTest, PerFlowArenaSteadyStateDoesNotAllocate) {
+  using Sim = typename TestFixture::Sim;
+  Sim sim(7);
+  nic::BasicPort<Sim> port(sim, nic::x520_config(1));
+  const tgen::FlowSet flows(1024, 11);
+  tgen::PerFlowSourceConfig cfg;
+  cfg.total_rate_pps = 4e6;  // 256 us mean per-flow gap
+  cfg.poisson = true;
+  cfg.duration = kSecond;
+  std::uint64_t delivered = 0;
+  sim.spawn(drain(port.rx_queue(0), delivered));
+  tgen::PerFlowSourceArena<Sim> arena(sim, port, flows, cfg);
+
+  // Warm-up: bootstrap, then two-plus revolutions of the wheel's level-1
+  // ring (~67 ms each on the default geometry) so every slot the gap
+  // distribution reaches has seen its peak.
+  sim.run_until(150 * kMillisecond);
+
+  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t fired_before = arena.fired();
+  const std::uint64_t delivered_before = delivered;
+  sim.run_until(250 * kMillisecond);
+  const std::uint64_t after = g_allocations.load();
+
+  EXPECT_GT(arena.fired() - fired_before, 300000u) << "window did real work";
+  EXPECT_GT(delivered - delivered_before, 0u) << "the port delivered packets";
+  EXPECT_EQ(arena.armed(), flows.size()) << "between events every flow has a timer pending";
+  EXPECT_EQ(after - before, 0u)
+      << "the arena's fire/arm path allocated during the steady-state window";
 }
 
 TEST(AllocFreeTest, OversizedCallbacksStillWork) {

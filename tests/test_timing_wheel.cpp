@@ -24,6 +24,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
+#include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "util/seed_mix.hpp"
 
@@ -469,6 +470,144 @@ TEST(TimingWheelTest, CoarseSlotAtOrBeforeLevelZeroEntryCascadesFirst) {
   EXPECT_EQ(occ0, 1u) << "the handler's 70 ns entry must sit in level 0";
   EXPECT_EQ(occ1, 1u) << "the setup's 70 ns entry must sit coarse";
   expect_heap_agrees(tie);
+}
+
+/// Delays for the three-flavour mix below: equal (0) and adjacent (1)
+/// instants, both sides of the tiny geometry's 16 ns tick, 64 ns level-0
+/// window and 1024 ns horizon (cascades, overflow epochs), and the default
+/// geometry's level-0 window and coarse levels.
+constexpr Time kMixDelays[] = {0,  0,   1,   1,     15,      16,      17,       63,
+                               64, 65,  300, 1'100, 5'000,   262'500, 300'000};
+
+std::uint64_t xorshift(std::uint64_t x) {
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  return x;
+}
+
+Time mix_delay(std::uint64_t x) { return kMixDelays[x % std::size(kMixDelays)]; }
+
+/// Receiver of the mix's indexed events: index i re-arms itself, one
+/// pending event per index as the per-flow arena keeps one per flow, and
+/// records tag 1'000'000 + i * 1000 + round.
+template <typename Sim>
+struct IndexedRecorder : IndexedTarget {
+  Sim* sim = nullptr;
+  std::vector<Firing>* trace = nullptr;
+  std::vector<std::uint64_t> state;
+  std::vector<int> round;
+  int rounds = 0;
+  std::uint64_t scheduled = 0;
+  std::uint64_t fired = 0;
+
+  IndexedRecorder(Sim& s, std::vector<Firing>& tr, std::uint64_t seed, std::uint32_t n, int r)
+      : IndexedTarget{&IndexedRecorder::on_fire}, sim(&s), trace(&tr), round(n, 0), rounds(r) {
+    for (std::uint32_t i = 0; i < n; ++i) state.push_back(util::mix_seed(seed, i));
+  }
+
+  void arm(std::uint32_t i, Time at) {
+    sim->schedule_indexed_at(at, this, i);
+    ++scheduled;
+  }
+
+  static void on_fire(IndexedTarget* self, std::uint32_t i) {
+    auto* r = static_cast<IndexedRecorder*>(self);
+    ++r->fired;
+    r->trace->emplace_back(r->sim->now(), 1'000'000 + static_cast<int>(i) * 1000 + r->round[i]);
+    if (++r->round[i] >= r->rounds) return;
+    r->state[i] = xorshift(r->state[i]);
+    r->arm(i, r->sim->now() + mix_delay(r->state[i]));
+  }
+};
+
+template <typename Sim>
+Task mix_sleeper(Sim& sim, std::vector<Firing>& trace, std::uint64_t state, int tag) {
+  for (int k = 0; k < 40; ++k) {
+    state = xorshift(state);
+    co_await sim.sleep_for(mix_delay(state));
+    trace.emplace_back(sim.now(), tag + k);
+  }
+}
+
+struct MixRun {
+  std::vector<Firing> trace;
+  std::uint64_t indexed_scheduled = 0;
+  std::uint64_t indexed_fired = 0;
+  std::uint64_t cancelled = 0;
+};
+
+/// Indexed events, coroutine resumes and callbacks on the same few
+/// instants. Each callback chain step arms a victim callback and cancels
+/// the previous step's victim, so tombstones keep landing in the slots the
+/// indexed entries occupy. Indices 0..23 alias the callback pool's slot
+/// numbers: a backend that asked the liveness or position hooks about an
+/// indexed entry would read (or corrupt) an unrelated callback slot.
+template <typename Backend>
+MixRun run_indexed_mix(std::uint64_t seed, Backend backend = Backend()) {
+  using Sim = BasicSimulation<Backend>;
+  Sim sim(1, std::move(backend));
+  MixRun run;
+  IndexedRecorder<Sim> rec(sim, run.trace, seed, 24, 30);
+  struct Chain {
+    Sim* s;
+    std::vector<Firing>* tr;
+    std::uint64_t* cancelled;
+    typename Sim::EventId victim;
+    std::uint64_t state;
+    int left;
+    int tag;
+    void operator()() const {
+      tr->emplace_back(s->now(), tag);
+      if (s->cancel(victim)) ++*cancelled;
+      if (left <= 0) return;
+      const std::uint64_t x = xorshift(state);
+      const int vtag = -tag;
+      const auto next = s->schedule_after(mix_delay(x >> 8), [s = s, tr = tr, vtag] {
+        tr->emplace_back(s->now(), vtag);
+      });
+      s->schedule_after(mix_delay(x), Chain{s, tr, cancelled, next, x, left - 1, tag + 1});
+    }
+  };
+  Rng rng(seed);
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    // Interleave the three flavours' initial schedules so their sequence
+    // numbers alternate at equal timestamps.
+    const auto t = static_cast<Time>(rng.uniform_u64(4));
+    rec.arm(i, t);
+    sim.schedule_at(t, Chain{&sim, &run.trace, &run.cancelled, Sim::kInvalidEvent,
+                             util::mix_seed(seed, 100 + i), 40,
+                             static_cast<int>(i + 1) * 1000});
+    if (i % 3 == 0) {
+      sim.spawn(mix_sleeper(sim, run.trace, util::mix_seed(seed, 200 + i),
+                            500'000 + static_cast<int>(i) * 100));
+    }
+  }
+  sim.run();
+  EXPECT_TRUE(sim.idle());
+  run.indexed_scheduled = rec.scheduled;
+  run.indexed_fired = rec.fired;
+  return run;
+}
+
+TEST(TimingWheelTest, IndexedEventsMirrorAgainstHeapAmongCallbacksAndCoroutines) {
+  // Indexed events share the (at, seq) order with the other two flavours
+  // and are never cancelled, so no backend may reorder one or drop one as
+  // a tombstone. Every firing carries a unique tag, so equal traces mean
+  // an identical execution order.
+  for (std::uint64_t seed : {5u, 99u, 4242u}) {
+    const MixRun heap = run_indexed_mix<BinaryHeapBackend>(seed);
+    const MixRun wheel = run_indexed_mix<TimingWheelBackend>(seed);
+    const MixRun tiny =
+        run_indexed_mix<TimingWheelBackend>(seed, TimingWheelBackend(tiny_geometry()));
+    for (const MixRun* r : {&heap, &wheel, &tiny}) {
+      EXPECT_EQ(r->indexed_fired, r->indexed_scheduled) << "an indexed entry was dropped";
+      EXPECT_EQ(r->indexed_scheduled, 24u * 30u);
+      EXPECT_GT(r->cancelled, 100u) << "tombstones must share the indexed entries' slots";
+    }
+    EXPECT_EQ(heap.trace, wheel.trace) << "seed " << seed;
+    EXPECT_EQ(heap.trace, tiny.trace) << "seed " << seed;
+  }
 }
 
 }  // namespace
