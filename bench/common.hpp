@@ -21,7 +21,9 @@
 //   --jobs=N              worker threads for benches that sweep through
 //                         scenario::SweepRunner. Results are bit-identical
 //                         for any N; only wall time changes. Benches whose
-//                         headline *is* wall time default to 1.
+//                         headline *is* wall time default to 1;
+//                         kernel_throughput runs every measured shard
+//                         alone and ignores it.
 //   --trace=<file>        external pcap to replay through the kTrace
 //                         arrival model (bench_scenario_matrix); absent =
 //                         the synthesised §V-F.4 trace.
@@ -359,6 +361,43 @@ inline Windows windows(bool fast) {
   if (fast) return {50 * sim::kMillisecond, 100 * sim::kMillisecond};
   return {200 * sim::kMillisecond, 800 * sim::kMillisecond};
 }
+
+/// The one trial harness behind every repeated bench measurement: call a
+/// measured thunk n times (trial counts are constants of each bench), or
+/// take samples a bench interleaved itself, and summarise them as median
+/// and IQR under one quantile definition — linear interpolation between
+/// order statistics, so a single sample has IQR 0 and an even count's
+/// median is the mean of the middle two. Warm-up and dead-code sinks
+/// belong to the caller.
+struct Trials {
+  double median = 0.0;
+  double iqr = 0.0;  ///< p75 - p25
+
+  template <typename Thunk>
+  static Trials run(int n, Thunk&& measure) {
+    std::vector<double> samples;
+    samples.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) samples.push_back(static_cast<double>(measure()));
+    return of(std::move(samples));
+  }
+
+  static Trials of(std::vector<double> v) {
+    Trials t;
+    std::sort(v.begin(), v.end());
+    const auto quantile = [&v](double q) {
+      const double pos = q * static_cast<double>(v.size() - 1);
+      const auto lo = static_cast<std::size_t>(pos);
+      const auto hi = std::min(lo + 1, v.size() - 1);
+      const double frac = pos - static_cast<double>(lo);
+      return v[lo] * (1.0 - frac) + v[hi] * frac;
+    };
+    if (!v.empty()) {
+      t.median = quantile(0.5);
+      t.iqr = quantile(0.75) - quantile(0.25);
+    }
+    return t;
+  }
+};
 
 inline std::string num(double v, int p = 2) { return stats::Table::num(v, p); }
 

@@ -20,16 +20,10 @@
 // scripts/check_bench_regression.py comparing this report against the
 // tracked BENCH_crypto.json baseline (median +/- IQR tolerances) — the
 // speedups are gated against what the baseline actually recorded, not a
-// hardcoded constant. --min-cbc-speedup=X remains as a self-contained
-// manual gate: it turns the in-run AES-CBC-1024B encrypt speedup into a
-// hard floor (below X the bench exits 1), comparing medians so run-to-run
-// jitter has to move the *median* trial to flip it.
+// hardcoded constant.
 //
 // Flags (strict parsing, unknown flag exits 2):
 //   --fast                  fewer trials/iterations (CI smoke mode)
-//   --min-cbc-speedup=X     fail (exit 1) if fast CBC encrypt < X * scalar
-//                           (manual floor; CI uses the regression script)
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -43,37 +37,10 @@
 #include "stats/table.hpp"
 
 using namespace metro;
-using bench::cryptob::Sample;
+using bench::Trials;
 using bench::cryptob::speedup;
 
 namespace {
-
-struct CryptoArgs {
-  bool fast = false;
-  double min_cbc_speedup = 0.0;  // 0 = no gate
-};
-
-bool try_parse(int argc, char** argv, CryptoArgs& out, std::string& error) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fast") {
-      out.fast = true;
-    } else if (arg.rfind("--min-cbc-speedup=", 0) == 0) {
-      const std::string v = arg.substr(18);
-      char* end = nullptr;
-      const double x = std::strtod(v.c_str(), &end);
-      if (v.empty() || *end != '\0' || !(x > 0.0)) {
-        error = "bad --min-cbc-speedup value '" + v + "' (want > 0)";
-        return false;
-      }
-      out.min_cbc_speedup = x;
-    } else {
-      error = "unknown flag '" + arg + "'";
-      return false;
-    }
-  }
-  return true;
-}
 
 using bench::cryptob::cbc_loop;
 using bench::cryptob::gateway_loop;
@@ -116,15 +83,10 @@ std::uint8_t gateway_burst_loop(Gateway& egress, Gateway& ingress,
 }  // namespace
 
 int main(int argc, char** argv) {
-  CryptoArgs args;
-  std::string error;
-  if (!try_parse(argc, argv, args, error)) {
-    std::cerr << error << "\nflags:\n  --fast\n  --min-cbc-speedup=X\n";
-    return 2;
-  }
+  const bool fast = bench::parse_fast(argc, argv);
 
-  const int trials = args.fast ? 5 : 9;
-  const std::uint64_t scale = args.fast ? 1 : 4;
+  const int trials = fast ? 5 : 9;
+  const std::uint64_t scale = fast ? 1 : 4;
 
   std::cout << "=== Crypto substrate microbench (fast vs scalar oracle) ===\n";
   std::cout << "trials=" << trials << " per row; medians with IQR; speedup = scalar/fast\n\n";
@@ -141,18 +103,18 @@ int main(int argc, char** argv) {
 
   // --- AES single block ----------------------------------------------------
   const std::uint64_t block_iters = 100'000 * scale;
-  const Sample enc_fast = bench::cryptob::time_ns_per_op(
+  const Trials enc_fast = bench::cryptob::time_ns_per_op(
       trials, block_iters, [&](std::uint64_t n) { return block_loop<crypto::Aes128, false>(fast_aes, n); });
-  const Sample enc_tbl = bench::cryptob::time_ns_per_op(
+  const Trials enc_tbl = bench::cryptob::time_ns_per_op(
       trials, block_iters, [&](std::uint64_t n) { return block_loop<crypto::Aes128, false>(tbl_aes, n); });
-  const Sample enc_scalar = bench::cryptob::time_ns_per_op(
+  const Trials enc_scalar = bench::cryptob::time_ns_per_op(
       trials, block_iters,
       [&](std::uint64_t n) { return block_loop<crypto::ScalarAes128, false>(scalar_aes, n); });
-  const Sample dec_fast = bench::cryptob::time_ns_per_op(
+  const Trials dec_fast = bench::cryptob::time_ns_per_op(
       trials, block_iters, [&](std::uint64_t n) { return block_loop<crypto::Aes128, true>(fast_aes, n); });
-  const Sample dec_tbl = bench::cryptob::time_ns_per_op(
+  const Trials dec_tbl = bench::cryptob::time_ns_per_op(
       trials, block_iters, [&](std::uint64_t n) { return block_loop<crypto::Aes128, true>(tbl_aes, n); });
-  const Sample dec_scalar = bench::cryptob::time_ns_per_op(
+  const Trials dec_scalar = bench::cryptob::time_ns_per_op(
       trials, block_iters,
       [&](std::uint64_t n) { return block_loop<crypto::ScalarAes128, true>(scalar_aes, n); });
 
@@ -169,7 +131,7 @@ int main(int argc, char** argv) {
   // --- AES-CBC by payload --------------------------------------------------
   struct CbcRow {
     std::size_t bytes;
-    Sample enc_scalar, enc_tbl, enc_fast, dec_scalar, dec_tbl, dec_fast;
+    Trials enc_scalar, enc_tbl, enc_fast, dec_scalar, dec_tbl, dec_fast;
   };
   std::vector<CbcRow> cbc_rows;
   for (const std::size_t bytes : {64u, 256u, 1024u, 1472u}) {
@@ -212,7 +174,7 @@ int main(int argc, char** argv) {
   const crypto::ScalarHmacSha1 scalar_hmac(auth_key);
   struct HmacRow {
     std::size_t bytes;
-    Sample scalar, fast;
+    Trials scalar, fast;
   };
   std::vector<HmacRow> hmac_rows;
   for (const std::size_t bytes : {16u, 64u, 256u, 1472u}) {
@@ -245,15 +207,15 @@ int main(int argc, char** argv) {
   apps::ScalarIpsecGateway scalar_eg(sa), scalar_in(sa);
   apps::IpsecGateway burst_eg(sa), burst_in(sa);
   const std::uint64_t pkt_iters = 20'000 * scale;
-  const Sample gw_scalar = bench::cryptob::time_ns_per_op(
+  const Trials gw_scalar = bench::cryptob::time_ns_per_op(
       trials, pkt_iters, [&](std::uint64_t n) { return gateway_loop(scalar_eg, scalar_in, inner, n); });
-  const Sample gw_fast = bench::cryptob::time_ns_per_op(
+  const Trials gw_fast = bench::cryptob::time_ns_per_op(
       trials, pkt_iters, [&](std::uint64_t n) { return gateway_loop(fast_eg, fast_in, inner, n); });
-  const Sample gw_burst = bench::cryptob::time_ns_per_op(
+  const Trials gw_burst = bench::cryptob::time_ns_per_op(
       trials, pkt_iters, [&](std::uint64_t n) { return gateway_burst_loop(burst_eg, burst_in, inner, n); });
 
   stats::Table gw({"path", "ns/pkt", "pkt/s", "speedup vs scalar"});
-  const auto pps = [](const Sample& s) { return s.median > 0 ? 1e9 / s.median : 0.0; };
+  const auto pps = [](const Trials& s) { return s.median > 0 ? 1e9 / s.median : 0.0; };
   gw.add_row({"scalar encap+decap", stats::Table::num(gw_scalar.median, 0),
               stats::Table::num(pps(gw_scalar), 0), "1.00"});
   gw.add_row({"fast encap+decap", stats::Table::num(gw_fast.median, 0),
@@ -266,8 +228,8 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   // --- JSON report ---------------------------------------------------------
-  const auto emit_pair = [](stats::JsonWriter& w, const char* name, const Sample& scalar,
-                            const Sample& fast) {
+  const auto emit_pair = [](stats::JsonWriter& w, const char* name, const Trials& scalar,
+                            const Trials& fast) {
     w.key(name).begin_object();
     w.kv("scalar_ns_median", scalar.median);
     w.kv("scalar_ns_iqr", scalar.iqr);
@@ -280,7 +242,7 @@ int main(int argc, char** argv) {
   stats::JsonWriter w(json_file);
   w.begin_object();
   w.kv("bench", "crypto");
-  w.kv("mode", args.fast ? "fast" : "full");
+  w.kv("mode", fast ? "fast" : "full");
   w.kv("trials", static_cast<std::uint64_t>(trials));
   w.kv("aes_impl", aes_impl);
   emit_pair(w, "aes_block_encrypt", enc_scalar, enc_fast);
@@ -325,23 +287,5 @@ int main(int argc, char** argv) {
   w.finish();
   std::cout << "wrote BENCH_crypto.json (sink=" << static_cast<int>(bench::cryptob::g_sink)
             << ")\n";
-
-  // --- noise-aware CI gate -------------------------------------------------
-  if (args.min_cbc_speedup > 0.0) {
-    // Gate on the 1024 B encrypt row of the auto-dispatched path (what the
-    // ESP data path runs): big enough that per-call overhead is noise, and
-    // encrypt is CBC's serial direction — the harder one to speed up.
-    double gate = 0.0;
-    for (const auto& r : cbc_rows) {
-      if (r.bytes == 1024) gate = speedup(r.enc_scalar, r.enc_fast);
-    }
-    if (gate < args.min_cbc_speedup) {
-      std::cerr << "FAIL: AES-CBC-1024B encrypt speedup " << gate << " < required "
-                << args.min_cbc_speedup << " (median of " << trials << " trials)\n";
-      return 1;
-    }
-    std::cout << "CBC gate ok: 1024B encrypt speedup " << stats::Table::num(gate, 2)
-              << " >= " << args.min_cbc_speedup << "\n";
-  }
   return 0;
 }

@@ -24,13 +24,12 @@ convention (docs/BENCHMARKS.md):
     higher is better  *speedup*, *per_sec*, *_pps*
     anything else     not gated
 
-Mode awareness: the reports record their window mode ("fast_mode" in the
-kernel report, "mode" in the crypto report). When baseline and fresh
-report modes differ (the tier-1 CI case: --fast fresh run vs tracked full
-baseline), window-length-dependent metrics (*wall_seconds*,
-*simulated_packets_per_sec*) are skipped and only window-independent ones
-(speedups, per-op ns, crypto pps) are gated — combine with --loose for
-the CI tolerances.
+Like for like: the reports record their window mode ("fast_mode" in the
+kernel report, "mode" in the crypto report), and window length moves
+every wall time and packet rate. A fast report is therefore only ever
+compared with a fast baseline: when the modes differ the gate refuses
+to compare at all (exit 2). CI runs each bench in its tracked
+baseline's mode.
 
 --ratios-only narrows the gate further to *speedup* metrics. Absolute
 per-op numbers (ns, pps) are host-speed dependent: a tracked baseline
@@ -43,7 +42,7 @@ same-state comparisons (and the --self-test ctest entries, which prove
 the full gate can fail).
 
 Exit codes: 0 clean (improvements are reported, never fatal), 1 at least
-one regression beyond tolerance, 2 usage/IO error.
+one regression beyond tolerance, 2 usage/IO error or mismatched modes.
 
 --self-test ignores the fresh report, synthesises a degraded copy of the
 baseline (lower-better metrics x2, higher-better x0.5) and exits 0 iff
@@ -58,7 +57,6 @@ import sys
 LOWER_BETTER = ("wall_seconds",)
 LOWER_BETTER_SUFFIX = ("ns_median",)
 HIGHER_BETTER = ("speedup", "per_sec", "_pps")
-MODE_DEPENDENT = ("wall_seconds", "simulated_packets_per_sec")
 MODE_KEYS = ("fast_mode", "mode")
 
 
@@ -105,7 +103,6 @@ def report_mode(doc):
 def compare(baseline, fresh, rel_tol, iqr_mult, strict_missing, out=sys.stdout,
             ratios_only=False):
     """Return (regressions, improvements, missing) metric lists."""
-    modes_differ = report_mode(baseline) != report_mode(fresh)
     fresh_metrics = {p: (m, q) for p, _, m, q in collect_metrics(fresh)}
     regressions, improvements, missing = [], [], []
     gated = 0
@@ -114,8 +111,6 @@ def compare(baseline, fresh, rel_tol, iqr_mult, strict_missing, out=sys.stdout,
         if sense is None:
             continue
         if ratios_only and "speedup" not in key:
-            continue
-        if modes_differ and any(t in key for t in MODE_DEPENDENT):
             continue
         if path not in fresh_metrics:
             missing.append(path)
@@ -132,13 +127,6 @@ def compare(baseline, fresh, rel_tol, iqr_mult, strict_missing, out=sys.stdout,
             regressions.append(line)
         elif -worse > tol:
             improvements.append(line)
-    if modes_differ:
-        print(
-            "note: report modes differ "
-            f"({report_mode(baseline)!r} vs {report_mode(fresh)!r}); "
-            "window-length-dependent metrics skipped",
-            file=out,
-        )
     print(f"gated {gated} trial-backed metrics", file=out)
     for line in improvements:
         print(f"IMPROVED   {line}", file=out)
@@ -254,6 +242,14 @@ def main():
             fresh = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"cannot read fresh report {args.fresh}: {e}", file=sys.stderr)
+        return 2
+
+    if report_mode(baseline) != report_mode(fresh):
+        print(
+            f"report modes differ (baseline {report_mode(baseline)!r}, fresh "
+            f"{report_mode(fresh)!r}): compare fast with fast, full with full",
+            file=sys.stderr,
+        )
         return 2
 
     regressions, improvements, _ = compare(

@@ -583,8 +583,12 @@ class TimingWheelBackend {
         return;  // bottom may still be empty (all-tombstone slot): caller loops
       }
       if (coarse_min0_ == INT64_MAX) {
-        // Wheels fully drained: open the next epoch from overflow.
-        assert(!overflow_.empty() && "live_ > 0 but no entries stored");
+        // Wheels fully drained: open the next epoch from overflow. An
+        // empty pool means the live count outran what is stored; re-basing
+        // would then spin forever, so fail loudly in every build type.
+        if (overflow_.empty()) {
+          throw std::logic_error("TimingWheelBackend: live_ > 0 but no entries stored");
+        }
         rebase_from_overflow(ctx);
         continue;
       }

@@ -1,4 +1,6 @@
 // Bench CLI parsing policy (bench/common.hpp): strict, fail-at-launch.
+// Also the shared trial harness (bench::Trials) every bench reports
+// median/IQR through.
 //
 // A typoed flag on an overnight sweep used to silently run defaults and
 // produce wrong-but-plausible numbers; try_parse_args/try_parse_fast are
@@ -216,6 +218,53 @@ TEST(BenchArgsTest, ParseFastAcceptsOnlyFast) {
   std::array<char*, 2> bad_argv{argv0.data(), f2.data()};
   ASSERT_FALSE(try_parse_fast(2, bad_argv.data(), fast, error));
   EXPECT_NE(error.find("--jobs=4"), std::string::npos) << error;
+}
+
+/// Trials over a fixed sample list: the thunk hands out the next value
+/// on each call, so the test also sees how often it ran.
+Trials trials_of(std::vector<double> values, int& calls) {
+  calls = 0;
+  return Trials::run(static_cast<int>(values.size()),
+                     [&] { return values[static_cast<std::size_t>(calls++)]; });
+}
+
+TEST(BenchTrialsTest, OddSampleMedianAndInterpolatedIqr) {
+  int calls = 0;
+  const Trials t = trials_of({5.0, 1.0, 4.0, 2.0, 3.0}, calls);
+  EXPECT_EQ(calls, 5);
+  EXPECT_DOUBLE_EQ(t.median, 3.0);
+  EXPECT_DOUBLE_EQ(t.iqr, 2.0) << "p75 4 - p25 2";
+  const Trials direct = Trials::of({5.0, 1.0, 4.0, 2.0, 3.0});
+  EXPECT_DOUBLE_EQ(direct.median, t.median) << "interleaved samples summarise alike";
+  EXPECT_DOUBLE_EQ(direct.iqr, t.iqr);
+}
+
+TEST(BenchTrialsTest, EvenSampleMedianIsTheMiddleMean) {
+  int calls = 0;
+  const Trials t = trials_of({10.0, 40.0, 20.0, 30.0}, calls);
+  EXPECT_EQ(calls, 4);
+  EXPECT_DOUBLE_EQ(t.median, 25.0);
+  EXPECT_DOUBLE_EQ(t.iqr, 15.0) << "p75 32.5 - p25 17.5";
+  const Trials pair = trials_of({1.0, 3.0}, calls);
+  EXPECT_DOUBLE_EQ(pair.median, 2.0);
+  EXPECT_DOUBLE_EQ(pair.iqr, 1.0) << "p75 2.5 - p25 1.5";
+}
+
+TEST(BenchTrialsTest, OneSampleHasZeroIqr) {
+  int calls = 0;
+  const Trials t = trials_of({7.5}, calls);
+  EXPECT_EQ(calls, 1);
+  EXPECT_DOUBLE_EQ(t.median, 7.5);
+  EXPECT_DOUBLE_EQ(t.iqr, 0.0);
+}
+
+TEST(BenchTrialsTest, ThunkRunsExactlyNTimes) {
+  for (const int n : {0, 1, 2, 9}) {
+    int calls = 0;
+    const Trials t = Trials::run(n, [&] { return static_cast<double>(++calls); });
+    EXPECT_EQ(calls, n);
+    EXPECT_DOUBLE_EQ(t.median, n == 0 ? 0.0 : (n + 1) / 2.0) << "samples 1..n";
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -189,6 +190,31 @@ TEST(TimingWheelTest, CancelLastPendingEventLeavesWheelIdle) {
     EXPECT_LE(trace[i - 1].first, trace[i].first);
   }
   EXPECT_EQ(fired, 0) << "tombstoned handlers must never fire";
+}
+
+TEST(TimingWheelTest, LiveAccountingSlipThrowsInsteadOfHanging) {
+  // A liveness hook that starts flagging every entry without the wheel
+  // being told (no on_cancelled()): live_ still counts four entries, but
+  // once the sweep drops them nothing stored backs it. Re-basing an empty
+  // overflow pool would then loop forever in a Release build; the wheel
+  // must throw instead. The tiny geometry parks two entries in the wheel
+  // slots and two in the overflow pool, so both drain paths run first.
+  struct FlagAllCtx {
+    const bool* all_dead;
+    void moved(std::uint32_t, std::uint32_t) const noexcept {}
+    bool dead(const EventEntry&) const noexcept { return *all_dead; }
+  };
+  bool all_dead = false;
+  const FlagAllCtx ctx{&all_dead};
+  TimingWheelBackend wheel(tiny_geometry());
+  std::uint64_t seq = 0;
+  for (const Time at : {Time{5}, Time{100}, Time{5'000}, Time{1'000'000}}) {
+    wheel.push(EventEntry{at, seq++, nullptr, 0, EventKind::kCallback}, ctx);
+  }
+  EXPECT_EQ(wheel.peek(ctx).at, 5);
+  all_dead = true;
+  EXPECT_EQ(wheel.size(), 4u);
+  EXPECT_THROW((void)wheel.peek(ctx), std::logic_error);
 }
 
 TEST(TimingWheelTest, CancelAcrossCascadesAndEpochs) {
